@@ -9,6 +9,15 @@ m0 * J^T J.  The bias term is derived from the Lagrangian in a local
 exponential chart at the current pose, so velocity-product terms from the
 pose dependence of M (including rigid-body gyroscopic forces) and the
 potential gradient come out of one mechanism.
+
+That mechanism needs the chart derivatives dM/dtheta_k ("slabs").  Rigid
+poses get them in closed form (`rigid_pose_tables`), pinned against
+`_chart_mass_rigid` differenced axis by axis by the rigid-table tests in
+tests/test_dynamics.py and exercised through the plant by
+`test_energy_conserved_rigid_plant`.  Flat poses keep central differences
+(`point_mass_tables`), because tests/data/golden_planar3.csv pins the
+planar closed loop byte for byte; `test_point_mass_tables_match_generic_path`
+pins the batched form to the generic one.
 """
 from __future__ import annotations
 
@@ -19,9 +28,9 @@ import numpy as np
 from .actuator import ActuatorModel
 from .errors import DegenerateGeometry, SingularMass
 from .kinematics import (FD_STEP, EuclideanPose, Pose, RigidPose,
-                         RobotGeometry, gram_matrix, jacobian,
-                         jacobian_directional_derivative, retract,
-                         rigid_rows_batch, so3_left_jacobian)
+                         RobotGeometry, _rigid_cable_vectors, gram_matrix,
+                         jacobian, jacobian_directional_derivative, retract,
+                         so3_left_jacobian)
 
 
 @dataclass(frozen=True)
@@ -145,36 +154,68 @@ def _chart_mass_rigid(model: RobotModel, pose: Pose,
     return big.T @ m @ big
 
 
-def rigid_pose_tables(model: RobotModel, pose: RigidPose,
-                      step: float = FD_STEP):
-    """Jacobian rows, mass matrix and mass chart derivatives at a rigid
-    pose, from one vectorized evaluation over the offset batch.
+# hat(e_k) for the three world axes: the generator of a world rotation
+# about e_k, acting on vectors as e_k x v
+_AXIS_HATS = np.array([
+    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+])
+_HAT_OF = _AXIS_HATS.reshape(3, 9)   # v @ _HAT_OF -> hat(v), flattened
 
-    Must agree with `_chart_mass_rigid` differenced offset by offset (a
-    test pins the equivalence); this form just keeps the rigid simulation
-    loop out of Python-level per-offset work.
+
+def rigid_pose_tables(model: RobotModel, pose: RigidPose):
+    """Jacobian rows, mass matrix and mass chart derivatives at a rigid
+    pose, in closed form from one cable evaluation.
+
+    The chart mass is B^T M(retract(pose, theta)) B with
+    B = blockdiag(I, J_l(theta_rot)), and slab k is its derivative along
+    chart axis k at theta = 0.  Every term has the form Y_k + Y_k^T:
+      - actuator term, Y_k = m0 J^T dJ_k: a translation along e_k moves
+        each cable vector d = p + r - a by e_k; a world rotation about
+        e_k moves r and d by e_k x r.  With u = d/|d| that gives
+        du = (I - u u^T) dd / |d| and d(r x u) = dr x u + r x du;
+      - body term (rotations), hat(e_k) Iw - Iw hat(e_k) with
+        Iw = R I R^T, i.e. Y_k = -Iw hat(e_k) on the rotation block;
+      - chart-rate term (rotations), M dB_k + dB_k^T M with
+        dB_k = blockdiag(0, hat(e_k) / 2), the first-order part of J_l.
+    Nothing is differenced.  Tests pin the slabs against `_chart_mass_rigid`
+    differenced axis by axis, and the rigid plant's energy conservation.
     """
     inert = model.inertial
     if inert.inertia is None:
         raise ValueError("rigid body needs an inertia tensor")
-    offsets = _fd_offsets(6, step)
-    rows, rotations = rigid_rows_batch(model.geometry, pose, offsets)
-    m = offsets.shape[0]
-    chart = np.zeros((m, 6, 6))
-    chart[:, :3, :3] = inert.body_mass * np.eye(3)
-    chart[:, 3:, 3:] = np.einsum("mij,jk,mlk->mil", rotations, inert.inertia,
-                                 rotations)
-    if inert.actuator_mass != 0.0:
-        chart += inert.actuator_mass * np.einsum("mki,mkj->mij", rows, rows)
-    mass = chart[0].copy()
-    # fold in the chart-rate factor blockdiag(I, J_l) for the offsets
-    for i in range(1, m):
-        jl = so3_left_jacobian(offsets[i, 3:])
-        big = np.eye(6)
-        big[3:, 3:] = jl
-        chart[i] = big.T @ chart[i] @ big
-    slabs = (chart[1::2] - chart[2::2]) / (2.0 * step)
-    return rows[0], mass, slabs
+    rot, diffs, lengths, offsets = _rigid_cable_vectors(model.geometry, pose)
+    n = lengths.size
+    units = diffs / lengths[:, None]
+    hats = (np.concatenate([offsets, units]) @ _HAT_OF).reshape(2, n, 3, 3)
+    # lever[i] = [I; hat(r_i)] maps a cable direction to its jacobian row
+    lever = np.empty((n, 6, 3))
+    lever[:, :3] = np.eye(3)
+    lever[:, 3:] = hats[0]
+    rows = (lever @ units[:, :, None])[:, :, 0]
+    world_inertia = rot @ inert.inertia @ rot.T
+    mass = np.zeros((6, 6))
+    mass[:3, :3] = inert.body_mass * np.eye(3)
+    mass[3:, 3:] = world_inertia
+    m0 = inert.actuator_mass
+    if m0 != 0.0:
+        mass += m0 * (rows.T @ rows)
+        # per-cable row derivatives, drows[i, :, k] = d(row i)/d(theta_k):
+        # lever (I - u u^T) lever^T / |d|, which is (lever lever^T -
+        # row row^T) / |d| as lever u = row, plus hat(u) hat(r) on the
+        # rotation block from dr x u
+        drows = lever @ lever.transpose(0, 2, 1)
+        drows -= rows[:, :, None] * rows[:, None, :]
+        drows /= lengths[:, None, None]
+        drows[:, 3:, 3:] += hats[1] @ hats[0]
+        half = m0 * (rows.T @ drows.transpose(2, 0, 1))
+    else:
+        half = np.zeros((6, 6, 6))
+    arm = 0.5 * mass[:, 3:]
+    arm[3:] -= world_inertia
+    half[3:, :, 3:] += arm @ _AXIS_HATS
+    return rows, mass, half + half.transpose(0, 2, 1)
 
 
 def _mass_derivatives(model: RobotModel, pose: Pose,
@@ -182,7 +223,7 @@ def _mass_derivatives(model: RobotModel, pose: Pose,
     """d(chart mass)/d(theta_k) at the chart origin, one slab per k."""
     if isinstance(pose, EuclideanPose):
         return point_mass_tables(model, pose.coords, step)[2]
-    return rigid_pose_tables(model, pose, step)[2]
+    return rigid_pose_tables(model, pose)[2]
 
 
 def _velocity_bias(slabs: np.ndarray, twist: np.ndarray) -> np.ndarray:
@@ -249,8 +290,10 @@ def bias_force(model: RobotModel, pose: Pose, twist: np.ndarray,
                - 1/2 [twist^T dM/dtheta_k twist]_k
                + dV/dtheta
 
-    with the mass derivatives taken by central differences in the local
-    chart.  Holding the force at `bias` keeps a resting pose still, and
+    with the mass derivatives taken in the local chart: in closed form on
+    rigid poses (`rigid_pose_tables`), by central differences of step
+    `step` on flat ones (`point_mass_tables`; `step` has no effect on
+    rigid poses).  Holding the force at `bias` keeps a resting pose still, and
     M @ accel + bias reproduces the Lagrangian dynamics for moving ones.
     """
     twist = np.asarray(twist, float)
@@ -270,7 +313,7 @@ def wrench_for_accel(model: RobotModel, pose: Pose, twist: np.ndarray,
     if isinstance(pose, EuclideanPose):
         mass, slabs = _mass_and_slabs_point(model, pose, step)
     else:
-        _, mass, slabs = rigid_pose_tables(model, pose, step)
+        _, mass, slabs = rigid_pose_tables(model, pose)
     out = mass @ accel + _potential_gradient(model, pose)
     if np.any(twist):
         out += _velocity_bias(slabs, twist)

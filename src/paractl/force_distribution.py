@@ -84,6 +84,13 @@ def _force_bounds(con: ForceConstraints, command_offset: np.ndarray,
     return lo, hi
 
 
+def _releasable(status: np.ndarray, grad: np.ndarray, tol) -> np.ndarray:
+    """Bound variables whose descent gradient points into the box by more
+    than `tol`."""
+    return np.where(((status == -1) & (grad > tol))
+                    | ((status == 1) & (grad < -tol)))[0]
+
+
 def _bounded_least_squares(mat: np.ndarray, target: np.ndarray,
                            lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """min ||mat @ f - target||^2 over the box, Lawson-Hanson style.
@@ -91,7 +98,9 @@ def _bounded_least_squares(mat: np.ndarray, target: np.ndarray,
     Variables start at their nearest finite bound (or zero when unbounded)
     and are freed one at a time by the strongest first-order violation,
     lowest index breaking ties; the inner loop clips line searches back
-    onto the box.
+    onto the box.  A violation counts when it exceeds 1e-10 of the target
+    scale or, while the residual is still above RESIDUAL_TOL, the
+    gradient's rounding error.
     """
     n = mat.shape[1]
     status = np.zeros(n, dtype=int)  # -1 at lo, 0 free, +1 at hi
@@ -103,9 +112,18 @@ def _bounded_least_squares(mat: np.ndarray, target: np.ndarray,
             status[k], f[k] = 1, hi[k]
     scale = max(1.0, float(np.max(np.abs(target))) if target.size else 1.0)
     for _ in range(MAX_ACTIVE_SET_ITERS):
-        grad = mat.T @ (target - mat @ f)  # descent direction per variable
-        candidates = np.where(((status == -1) & (grad > 1e-10 * scale))
-                              | ((status == 1) & (grad < -1e-10 * scale)))[0]
+        resid = target - mat @ f
+        grad = mat.T @ resid  # descent direction per variable
+        candidates = _releasable(status, grad, 1e-10 * scale)
+        if candidates.size == 0 \
+                and np.max(np.abs(resid), initial=0.0) > RESIDUAL_TOL:
+            # the fit is not good enough to accept, so also free on any
+            # gradient above its rounding error: the scale-relative
+            # threshold can strand a small but real descent direction
+            size = np.abs(mat)
+            tol = n * np.finfo(float).eps \
+                * (size.T @ (size @ np.abs(f) + np.abs(target)))
+            candidates = _releasable(status, grad, tol)
         if candidates.size == 0:
             return f
         best = candidates[np.argmax(np.abs(grad[candidates]))]

@@ -43,7 +43,7 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion."""
-    w, x, y, z = q
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -81,68 +81,6 @@ def _hat(v: np.ndarray) -> np.ndarray:
         [v[2], 0.0, -v[0]],
         [-v[1], v[0], 0.0],
     ])
-
-
-def quat_from_rotation_vector_batch(rvs: np.ndarray) -> np.ndarray:
-    """Row-wise `quat_from_rotation_vector` for an (m, 3) array."""
-    rvs = np.asarray(rvs, dtype=float)
-    angles = np.linalg.norm(rvs, axis=1)
-    small = angles < 1e-8
-    safe = np.where(small, 1.0, angles)
-    s = np.where(small, 0.5 - angles**2 / 48.0, np.sin(safe / 2.0) / safe)
-    w = np.where(small, 1.0 - angles**2 / 8.0, np.cos(angles / 2.0))
-    quats = np.concatenate([w[:, None], s[:, None] * rvs], axis=1)
-    return quats / np.linalg.norm(quats, axis=1)[:, None]
-
-
-def quat_multiply_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise product of an (m, 4) batch with one quaternion."""
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=1)
-
-
-def quat_to_matrix_batch(quats: np.ndarray) -> np.ndarray:
-    """Rotation matrices (m, 3, 3) for an (m, 4) batch of unit
-    quaternions."""
-    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    out = np.empty((quats.shape[0], 3, 3))
-    out[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    out[:, 0, 1] = 2 * (x * y - w * z)
-    out[:, 0, 2] = 2 * (x * z + w * y)
-    out[:, 1, 0] = 2 * (x * y + w * z)
-    out[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    out[:, 1, 2] = 2 * (y * z - w * x)
-    out[:, 2, 0] = 2 * (x * z - w * y)
-    out[:, 2, 1] = 2 * (y * z + w * x)
-    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return out
-
-
-def rigid_rows_batch(geom: RobotGeometry, base, steps: np.ndarray):
-    """Jacobian rows at `retract(base, step)` for a batch of tangent steps.
-
-    Returns (rows, rotations) with rows shaped (m, n, 6); vectorized so the
-    dynamics finite differences stay cheap on the rigid manifold.
-    """
-    steps = np.asarray(steps, dtype=float)
-    quats = quat_multiply_batch(quat_from_rotation_vector_batch(steps[:, 3:]),
-                                quat_normalize(base.quaternion))
-    rotations = quat_to_matrix_batch(quats)
-    positions = base.position[None, :] + steps[:, :3]
-    offsets = np.einsum("mij,nj->mni", rotations, geom.attachments)
-    diffs = positions[:, None, :] + offsets - geom.anchors[None, :, :]
-    lengths2 = np.einsum("mni,mni->mn", diffs, diffs)
-    if np.any(lengths2 < 1e-24):
-        raise DegenerateGeometry("zero actuator length in batch")
-    units = diffs / np.sqrt(lengths2)[:, :, None]
-    rows = np.concatenate([units, np.cross(offsets, units)], axis=2)
-    return rows, rotations
 
 
 def so3_left_jacobian(rv: np.ndarray) -> np.ndarray:
@@ -292,25 +230,35 @@ class RobotGeometry:
         return EuclideanPose(np.zeros(self.anchors.shape[1]))
 
 
-def _cable_vectors(geom: RobotGeometry, pose: Pose):
-    """Anchor-to-attachment vectors, lengths, and world attachment offsets."""
-    if geom.is_rigid:
-        if not isinstance(pose, RigidPose):
-            raise ValueError("rigid geometry requires a RigidPose")
-        rot = pose.rotation
-        offsets = geom.attachments @ rot.T          # (n, 3) world frame
-        diffs = pose.position + offsets - geom.anchors
-    else:
-        if not isinstance(pose, EuclideanPose):
-            raise ValueError("point-mass geometry requires a EuclideanPose")
-        offsets = None
-        diffs = pose.coords - geom.anchors
+def _checked_lengths(diffs: np.ndarray) -> np.ndarray:
     lengths = np.linalg.norm(diffs, axis=1)
     if np.any(lengths < MIN_CABLE_LENGTH):
         bad = int(np.argmin(lengths))
         raise DegenerateGeometry(
             f"actuator {bad} has zero length; direction undefined")
-    return diffs, lengths, offsets
+    return lengths
+
+
+def _rigid_cable_vectors(geom: RobotGeometry, pose: Pose):
+    """Body rotation, anchor-to-attachment vectors, lengths, and world
+    attachment offsets at a rigid pose."""
+    if not isinstance(pose, RigidPose):
+        raise ValueError("rigid geometry requires a RigidPose")
+    rot = pose.rotation
+    offsets = geom.attachments @ rot.T          # (n, 3) world frame
+    diffs = pose.position + offsets - geom.anchors
+    return rot, diffs, _checked_lengths(diffs), offsets
+
+
+def _cable_vectors(geom: RobotGeometry, pose: Pose):
+    """Anchor-to-attachment vectors, lengths, and world attachment offsets."""
+    if geom.is_rigid:
+        _, diffs, lengths, offsets = _rigid_cable_vectors(geom, pose)
+        return diffs, lengths, offsets
+    if not isinstance(pose, EuclideanPose):
+        raise ValueError("point-mass geometry requires a EuclideanPose")
+    diffs = pose.coords - geom.anchors
+    return diffs, _checked_lengths(diffs), None
 
 
 def inverse_kinematics(geom: RobotGeometry, pose: Pose) -> np.ndarray:
@@ -365,26 +313,6 @@ def gram_matrix(geom: RobotGeometry, pose: Pose) -> np.ndarray:
     """Jacobian-transpose times jacobian (the actuator inertia shape)."""
     jac = jacobian(geom, pose)
     return jac.T @ jac
-
-
-def gram_matrices_batch(geom: RobotGeometry, base: Pose,
-                        steps: np.ndarray) -> np.ndarray:
-    """Gram matrices at `retract(base, step)` for a batch of tangent steps.
-
-    Vectorized over the batch; used by the dynamics finite differences,
-    where per-call overhead would otherwise dominate the simulation loop.
-    """
-    steps = np.asarray(steps, dtype=float)
-    if not geom.is_rigid:
-        positions = base.coords[None, :] + steps          # (m, d)
-        diffs = positions[:, None, :] - geom.anchors[None, :, :]
-        lengths = np.linalg.norm(diffs, axis=2)
-        if np.any(lengths < MIN_CABLE_LENGTH):
-            raise DegenerateGeometry("zero actuator length in batch")
-        rows = diffs / lengths[:, :, None]
-        return np.einsum("mki,mkj->mij", rows, rows)
-    rows, _ = rigid_rows_batch(geom, base, steps)
-    return np.einsum("mki,mkj->mij", rows, rows)
 
 
 def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cube8_model, planar3_pose, random_planar_poses
+from conftest import (cube8_home, cube8_model, planar3_pose,
+                      random_planar_poses, random_rigid_poses)
 from oracles import euler_lagrange_bias
-from paractl import (EuclideanPose, InertialParams, RigidPose,
-                     RobotGeometry, RobotModel, bias_force, cable_tensions,
-                     forward_dynamics, jacobian, mass_matrix,
+from paractl import (DegenerateGeometry, EuclideanPose, InertialParams,
+                     RigidPose, RobotGeometry, RobotModel, bias_force,
+                     cable_tensions, forward_dynamics, jacobian, mass_matrix,
                      modal_decomposition, no_load_forces, total_energy)
 from paractl.dynamics import point_mass_tables, _mass_derivatives
 from paractl.kinematics import quat_normalize
@@ -248,12 +249,9 @@ def test_point_mass_tables_match_generic_path():
                                    atol=1e-14)
 
 
-def test_rigid_tables_match_per_offset_chart_masses():
+def _assert_rigid_tables_match_chart_differences(model, poses):
     from paractl.dynamics import _chart_mass_rigid, rigid_pose_tables
-    model = cube8_model(actuator_mass=0.08)
-    rng = np.random.default_rng(34)
-    from conftest import random_rigid_poses
-    for pose in random_rigid_poses(rng, 5):
+    for pose in poses:
         rows, mass, slabs = rigid_pose_tables(model, pose)
         np.testing.assert_allclose(rows, jacobian(model.geometry, pose),
                                    atol=1e-14)
@@ -265,9 +263,48 @@ def test_rigid_tables_match_per_offset_chart_masses():
             e[k] = h
             ref = (_chart_mass_rigid(model, pose, e)
                    - _chart_mass_rigid(model, pose, -e)) / (2 * h)
-            # both routes difference O(1) numbers over 2e-6, so they can
-            # only agree to finite-difference rounding noise
+            # the reference differences O(1) numbers over 2e-6, so the
+            # closed form can only agree to its rounding noise
             np.testing.assert_allclose(slabs[k], ref, atol=5e-9)
+
+
+def test_rigid_tables_match_per_offset_chart_masses():
+    model = cube8_model(actuator_mass=0.08)
+    rng = np.random.default_rng(34)
+    _assert_rigid_tables_match_chart_differences(
+        model, random_rigid_poses(rng, 5))
+
+
+def test_rigid_tables_body_only():
+    # m0 = 0 leaves only the body inertia and chart-rate terms
+    model = cube8_model(actuator_mass=0.0)
+    rng = np.random.default_rng(35)
+    _assert_rigid_tables_match_chart_differences(
+        model, random_rigid_poses(rng, 5))
+
+
+def test_rigid_tables_non_diagonal_inertia():
+    geom = cube8_model().geometry
+    inertia = np.array([[0.03, 0.004, -0.002],
+                        [0.004, 0.025, 0.003],
+                        [-0.002, 0.003, 0.02]])
+    model = RobotModel(geom, InertialParams(body_mass=5.0,
+                                            gravity=[0.0, 0.0, -9.81],
+                                            inertia=inertia,
+                                            actuator_mass=0.08))
+    rng = np.random.default_rng(36)
+    _assert_rigid_tables_match_chart_differences(
+        model, random_rigid_poses(rng, 5))
+
+
+def test_rigid_tables_reject_zero_length_actuator():
+    from paractl.dynamics import rigid_pose_tables
+    model = cube8_model(actuator_mass=0.08)
+    geom = model.geometry
+    # body placed so attachment 3 sits exactly on its anchor
+    pose = RigidPose.identity(geom.anchors[3] - geom.attachments[3])
+    with pytest.raises(DegenerateGeometry):
+        rigid_pose_tables(model, pose)
 
 
 def test_energy_conserved_without_forcing(planar3_geom):
@@ -295,3 +332,21 @@ def test_energy_conserved_with_spring_potential():
         ps = step_plant(model, ps, np.zeros(3), 1e-3)
     assert abs(total_energy(model, ps.pose, ps.twist) - start) \
         / abs(start) <= 1e-6
+
+
+def test_energy_conserved_rigid_plant():
+    # gyroscopic and cable-curvature terms all run through the closed-form
+    # rigid tables here
+    geom = cube8_model().geometry
+    model = RobotModel(geom, InertialParams(body_mass=5.0,
+                                            gravity=[0.0, 0.0, 0.0],
+                                            inertia=np.diag([0.02, 0.025,
+                                                             0.03]),
+                                            actuator_mass=0.08))
+    ps = PlantState(cube8_home(),
+                    np.array([0.1, -0.05, 0.02, 0.4, 0.3, -0.2]))
+    start = total_energy(model, ps.pose, ps.twist)
+    for _ in range(2000):
+        ps = step_plant(model, ps, np.zeros(8), 1e-3)
+    end = total_energy(model, ps.pose, ps.twist)
+    assert abs(end - start) / abs(start) <= 1e-6

@@ -177,3 +177,29 @@ def test_enlarging_command_limit_keeps_feasibility(f_max, factor):
     if wrench_feasible(jac, HOLD_WRENCH, np.zeros(3), np.zeros(3), con):
         assert wrench_feasible(jac, HOLD_WRENCH, np.zeros(3), np.zeros(3),
                                bigger)
+
+
+def test_distribute_frees_small_descent_direction():
+    # A cold rigid pose whose bounded least-squares pass once stopped with
+    # residual 4.5e-5: one bound variable's descent gradient (1.7e-9) sat
+    # below the scale-relative freeing threshold, so a feasible static
+    # wrench was reported infeasible.
+    from pathlib import Path
+    from paractl import RigidPose, bias_force, load_config
+    from paractl.kinematics import quat_from_rotation_vector
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "cube8.json")
+    rng = np.random.default_rng([3, 4])
+    positions = rng.uniform(cfg.workspace_min, cfg.workspace_max, (500, 3))
+    rotvecs = rng.uniform(-0.3, 0.3, (500, 3))
+    pose = RigidPose(positions[250], quat_from_rotation_vector(rotvecs[250]))
+    model = cfg.model
+    jac = jacobian(model.geometry, pose)
+    wrench = bias_force(model, pose, np.zeros(6))
+    zeros = np.zeros(model.actuator_count)
+    lo, hi = bounds_from_constraints(cfg.constraints, zeros, zeros)
+    ref = kkt_enumeration(jac, wrench, lo, hi)
+    assert ref is not None
+    f = distribute(jac, wrench, zeros, zeros, cfg.constraints)
+    np.testing.assert_allclose(f, ref, atol=1e-6)
+    assert np.max(np.abs(jac.T @ f - wrench)) <= 1e-8
+    assert in_constraint_set(cfg.constraints, f, zeros, zeros)
