@@ -304,22 +304,6 @@ def bias_force(model: RobotModel, pose: Pose, twist: np.ndarray,
     return _velocity_bias(slabs, twist) + grad_v
 
 
-def wrench_for_accel(model: RobotModel, pose: Pose, twist: np.ndarray,
-                     accel: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Wrench needed for an acceleration: M @ accel + bias, evaluated with
-    a single batched mass computation."""
-    twist = np.asarray(twist, float)
-    accel = np.asarray(accel, float)
-    if isinstance(pose, EuclideanPose):
-        mass, slabs = _mass_and_slabs_point(model, pose, step)
-    else:
-        _, mass, slabs = rigid_pose_tables(model, pose)
-    out = mass @ accel + _potential_gradient(model, pose)
-    if np.any(twist):
-        out += _velocity_bias(slabs, twist)
-    return out
-
-
 def no_load_forces(model: RobotModel, pose: Pose, twist: np.ndarray,
                    accel: np.ndarray, jac: np.ndarray | None = None
                    ) -> np.ndarray:

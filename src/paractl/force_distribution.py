@@ -7,9 +7,13 @@ selection problem is
 
     minimize ||f||^2   subject to   J^T f = wrench,  lo <= f <= hi
 
-solved by an active-set method: a bounded-least-squares pass proves or
-refutes feasibility, then a least-norm pass walks bound activations to the
-optimum.  Infeasibility is reported, never clamped away.
+solved by the dual active-set method of Goldfarb and Idnani (Math.
+Programming 27, 1983).  It starts from the unconstrained least-norm point
+and keeps the wrench rows in its working set throughout.  Every iterate is
+the least-norm point for the bounds in its working set, and bounds are
+added, most violated first, until none is violated, so the first
+admissible iterate is the optimum.  Infeasibility is certified by the
+method itself and reported, never clamped away.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleWrench, RankDeficient
+from .errors import InfeasibleWrench, NoConvergence, RankDeficient
 
 RESIDUAL_TOL = 1e-8
 MAX_ACTIVE_SET_ITERS = 200
@@ -84,137 +88,6 @@ def _force_bounds(con: ForceConstraints, command_offset: np.ndarray,
     return lo, hi
 
 
-def _releasable(status: np.ndarray, grad: np.ndarray, tol) -> np.ndarray:
-    """Bound variables whose descent gradient points into the box by more
-    than `tol`."""
-    return np.where(((status == -1) & (grad > tol))
-                    | ((status == 1) & (grad < -tol)))[0]
-
-
-def _bounded_least_squares(mat: np.ndarray, target: np.ndarray,
-                           lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min ||mat @ f - target||^2 over the box, Lawson-Hanson style.
-
-    Variables start at their nearest finite bound (or zero when unbounded)
-    and are freed one at a time by the strongest first-order violation,
-    lowest index breaking ties; the inner loop clips line searches back
-    onto the box.  A violation counts when it exceeds 1e-10 of the target
-    scale or, while the residual is still above RESIDUAL_TOL, the
-    gradient's rounding error.
-    """
-    n = mat.shape[1]
-    status = np.zeros(n, dtype=int)  # -1 at lo, 0 free, +1 at hi
-    f = np.zeros(n)
-    for k in range(n):
-        if np.isfinite(lo[k]) and abs(lo[k]) <= abs(hi[k]):
-            status[k], f[k] = -1, lo[k]
-        elif np.isfinite(hi[k]):
-            status[k], f[k] = 1, hi[k]
-    scale = max(1.0, float(np.max(np.abs(target))) if target.size else 1.0)
-    for _ in range(MAX_ACTIVE_SET_ITERS):
-        resid = target - mat @ f
-        grad = mat.T @ resid  # descent direction per variable
-        candidates = _releasable(status, grad, 1e-10 * scale)
-        if candidates.size == 0 \
-                and np.max(np.abs(resid), initial=0.0) > RESIDUAL_TOL:
-            # the fit is not good enough to accept, so also free on any
-            # gradient above its rounding error: the scale-relative
-            # threshold can strand a small but real descent direction
-            size = np.abs(mat)
-            tol = n * np.finfo(float).eps \
-                * (size.T @ (size @ np.abs(f) + np.abs(target)))
-            candidates = _releasable(status, grad, tol)
-        if candidates.size == 0:
-            return f
-        best = candidates[np.argmax(np.abs(grad[candidates]))]
-        status[best] = 0
-        for _ in range(MAX_ACTIVE_SET_ITERS):
-            free = np.where(status == 0)[0]
-            rhs = target - mat[:, status != 0] @ f[status != 0]
-            z = _small_lstsq(mat[:, free], rhs)
-            inside = (z >= lo[free] - 1e-12) & (z <= hi[free] + 1e-12)
-            if np.all(inside):
-                f[free] = np.clip(z, lo[free], hi[free])
-                break
-            # walk toward z until the first free variable hits a bound
-            step = 1.0
-            hitters = []
-            for idx, k in enumerate(free):
-                dz = z[idx] - f[k]
-                if dz > 0 and np.isfinite(hi[k]):
-                    limit = (hi[k] - f[k]) / dz
-                elif dz < 0 and np.isfinite(lo[k]):
-                    limit = (lo[k] - f[k]) / dz
-                else:
-                    continue
-                if limit < step - 1e-14:
-                    step, hitters = limit, [k]
-                elif limit <= step + 1e-14:
-                    hitters.append(k)
-            f[free] = f[free] + step * (z - f[free])
-            for k in hitters:
-                if z[free.tolist().index(k)] > f[k]:
-                    status[k], f[k] = 1, hi[k]
-                else:
-                    status[k], f[k] = -1, lo[k]
-            if not hitters:
-                f[free] = np.clip(f[free], lo[free], hi[free])
-                break
-    return f
-
-
-def _min_norm_refine(jac: np.ndarray, wrench: np.ndarray, lo: np.ndarray,
-                     hi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Walk active bounds from a feasible point to the least-norm optimum.
-
-    Classic primal active-set iteration: project the current point onto
-    the equality constraint's affine set restricted to free variables; if
-    the projection step is blocked, activate the blocking bound; at a
-    stationary point, release the bound with the worst multiplier sign.
-    """
-    n = jac.shape[0]
-    active = np.zeros(n, dtype=int)
-    active[f <= lo + 1e-10] = -1
-    active[f >= hi - 1e-10] = 1
-    for _ in range(MAX_ACTIVE_SET_ITERS):
-        free = np.where(active == 0)[0]
-        if free.size:
-            nu = _small_lstsq(jac[free], f[free])
-        else:
-            nu = _small_lstsq(jac, f)
-        p = np.zeros(n)
-        if free.size:
-            p[free] = jac[free] @ nu - f[free]
-        if np.max(np.abs(p)) <= 1e-12:
-            # stationary on this active set; check bound multipliers
-            shadow = jac @ nu
-            worst, worst_gap = -1, -1e-10
-            for k in np.where(active != 0)[0]:
-                gap = (shadow[k] - f[k]) if active[k] == 1 \
-                    else (f[k] - shadow[k])
-                if gap < worst_gap:
-                    worst, worst_gap = k, gap
-            if worst < 0:
-                return f
-            active[worst] = 0
-            continue
-        step, blocker, blocker_side = 1.0, -1, 0
-        for k in free:
-            if p[k] > 1e-15 and np.isfinite(hi[k]):
-                limit, side = (hi[k] - f[k]) / p[k], 1
-            elif p[k] < -1e-15 and np.isfinite(lo[k]):
-                limit, side = (lo[k] - f[k]) / p[k], -1
-            else:
-                continue
-            if limit < step - 1e-14:
-                step, blocker, blocker_side = limit, k, side
-        f = f + max(step, 0.0) * p
-        if blocker >= 0 and step < 1.0 - 1e-14:
-            active[blocker] = blocker_side
-            f[blocker] = hi[blocker] if blocker_side == 1 else lo[blocker]
-    return f
-
-
 def _try_active_set(jac: np.ndarray, wrench: np.ndarray, lo: np.ndarray,
                     hi: np.ndarray, active: np.ndarray):
     """Solve the least-norm KKT system for one bound pattern; return the
@@ -246,28 +119,60 @@ def _try_active_set(jac: np.ndarray, wrench: np.ndarray, lo: np.ndarray,
     return np.clip(f, lo, hi)
 
 
-def _resolve_active_set(jac: np.ndarray, wrench: np.ndarray, lo: np.ndarray,
-                        hi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Re-solve the equality-constrained least-norm problem exactly on the
-    final active set, removing accumulated line-search roundoff."""
-    active = np.zeros(jac.shape[0], dtype=int)
-    active[f <= lo + 1e-9] = -1
-    active[f >= hi - 1e-9] = 1
-    out = f.copy()
-    out[active == -1] = lo[active == -1]
-    out[active == 1] = hi[active == 1]
-    free = np.where(active == 0)[0]
-    if free.size:
-        rhs = wrench - jac[active != 0].T @ out[active != 0]
-        gram = jac[free].T @ jac[free]
-        try:
-            nu = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            nu, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        out[free] = jac[free] @ nu
-    if np.all(out >= lo - 1e-9) and np.all(out <= hi + 1e-9):
-        return np.clip(out, lo, hi)
-    return f
+def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     f: np.ndarray) -> np.ndarray:
+    """Goldfarb-Idnani iteration from the unconstrained least-norm point
+    `f`; returns the optimal working set (-1 at lo, +1 at hi, 0 free).
+
+    The most violated bound p is approached along z, the part of its
+    normal orthogonal to the working set, while the bound multipliers
+    move along r, the normal's coordinates in the working set.  The step
+    stops when p is reached (p is added) or when a multiplier reaches
+    zero first (that bound is dropped, and p is approached again).  A
+    working set that already holds n normals admits no primal step, so
+    if no multiplier falls either, p cannot be reached: the certificate
+    of infeasibility.
+    """
+    n, d = jac.shape
+    status = np.zeros(n, dtype=int)
+    mult = np.zeros(n)
+    changes = 0
+    while True:
+        gap = np.where(status == 0, np.maximum(lo - f, f - hi), 0.0)
+        p = int(np.argmax(gap))
+        if gap[p] <= 1e-12:
+            return status
+        side = 1 if f[p] > hi[p] else -1
+        target = hi[p] if side == 1 else lo[p]
+        while True:
+            free = np.flatnonzero(status == 0)
+            bound = np.flatnonzero(status)
+            y = np.linalg.solve(jac[free].T @ jac[free], jac[p])
+            r = -side * status[bound] * (jac[bound] @ y)
+            falling = np.flatnonzero(r > 0)
+            t_drop, drop = np.inf, -1
+            if falling.size:
+                ratios = mult[bound[falling]] / r[falling]
+                k = int(np.argmin(ratios))
+                t_drop, drop = ratios[k], bound[falling[k]]
+            reach = 1.0 - jac[p] @ y  # |z|^2, zero when n normals are held
+            t_add = side * (f[p] - target) / reach \
+                if free.size > d and reach > 0.0 else np.inf
+            if t_add == t_drop == np.inf:
+                raise InfeasibleWrench("wrench outside the achievable set")
+            if changes == MAX_ACTIVE_SET_ITERS:
+                raise NoConvergence(f"force solver made {changes} "
+                                    "active-set changes without converging")
+            changes += 1
+            step = min(t_add, t_drop)
+            if t_add < np.inf:
+                f[free] += step * side * (jac[free] @ y - (free == p))
+            mult[bound] -= step * r
+            mult[p] += step
+            if t_add <= t_drop:
+                status[p], f[p] = side, target
+                break
+            status[drop], mult[drop] = 0, 0.0
 
 
 def active_pattern(con: ForceConstraints, forces: np.ndarray,
@@ -289,9 +194,15 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
     box, or InfeasibleWrench when no such forces exist.
 
     `jac` is the (n, d) actuator-value jacobian, whose transpose maps
-    actuator forces to wrenches.  `pattern_hint` (from `active_pattern`)
-    skips straight to a candidate active set; a verified hint is returned
-    immediately, a stale one falls through to the full search.
+    actuator forces to wrenches.  A `pattern_hint` (from `active_pattern`)
+    that passes the KKT check is returned as is, and an unconstrained
+    least-norm point inside the box needs no search; a stale hint is
+    harmless.  Otherwise the dual active-set method runs from that point
+    (see the module docstring).  It raises InfeasibleWrench on its own
+    certificate, a violated bound that neither a primal step nor a drop
+    can reach, and NoConvergence when its adds plus drops reach
+    MAX_ACTIVE_SET_ITERS.  The final working set is re-solved once to
+    remove the rounding the iteration accumulated.
     """
     jac = np.asarray(jac, float)
     wrench = np.asarray(wrench, float)
@@ -313,19 +224,12 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
     free_ln = jac @ np.linalg.solve(gram, wrench)
     if np.all(free_ln >= lo - 1e-12) and np.all(free_ln <= hi + 1e-12):
         return np.clip(free_ln, lo, hi)
-    # warm guess: activate the bounds the unconstrained solution violates
-    pattern = np.where(free_ln < lo, -1, np.where(free_ln > hi, 1, 0))
-    shortcut = _try_active_set(jac, wrench, lo, hi, pattern)
-    if shortcut is not None:
-        return shortcut
-    f = _bounded_least_squares(jac.T, wrench, lo, hi)
-    if np.max(np.abs(jac.T @ f - wrench)) > RESIDUAL_TOL:
-        raise InfeasibleWrench("wrench outside the achievable set")
-    f = _min_norm_refine(jac, wrench, lo, hi, f)
-    f = _resolve_active_set(jac, wrench, lo, hi, f)
-    if np.max(np.abs(jac.T @ f - wrench)) > RESIDUAL_TOL:
-        raise InfeasibleWrench("wrench outside the achievable set")
-    return f
+    status = _dual_active_set(jac, lo, hi, free_ln.copy())
+    f = np.where(status == 1, hi, lo)
+    free = status == 0
+    rhs = wrench - jac[~free].T @ f[~free]
+    f[free] = jac[free] @ np.linalg.solve(jac[free].T @ jac[free], rhs)
+    return np.clip(f, lo, hi)
 
 
 def wrench_feasible(jac: np.ndarray, wrench: np.ndarray,

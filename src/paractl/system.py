@@ -32,7 +32,7 @@ from .actuator import (ActuatorModel, ControllerGains, closed_loop_poles,
 from .dynamics import (RobotModel, _potential_gradient, _velocity_bias,
                        modal_decomposition, no_load_forces, point_mass_tables,
                        rigid_pose_tables)
-from .errors import InfeasibleWrench, NoConvergence
+from .errors import ParactlError
 from .force_distribution import (ForceConstraints, active_pattern, distribute)
 from .kinematics import (EuclideanPose, Pose, forward_kinematics, jacobian,
                          manifold_dim, pose_difference)
@@ -165,81 +165,73 @@ def control_step(model: RobotModel, gains: ControllerGains,
                             ControlDiagnostics]:
     """One control tick; pure function of the explicit state.
 
-    The brake latches: once a tick brakes (infeasible wrench or forward
-    kinematics failure) every later tick brakes until a fresh state is
-    supplied.  With `evaluate_at_reference` the mass matrix, bias force,
-    jacobian and no-load forces are evaluated at the reference pose and
-    velocity instead of the measured ones, and the pose error flips to
-    minus the difference taken at the reference.
+    The brake latches: once a tick brakes (any library error inside the
+    tick, such as an infeasible wrench or a forward kinematics failure,
+    with the error's class named in the reason) every later tick brakes
+    until a fresh state is supplied.  With `evaluate_at_reference` the
+    mass matrix, bias force, jacobian and no-load forces are evaluated at
+    the reference pose and velocity instead of the measured ones, and the
+    pose error flips to minus the difference taken at the reference.
     """
     if state.braked:
         return (Command.brake(state.brake_reason or "brake latched"),
                 state, ControlDiagnostics())
     lengths = np.asarray(lengths, float)
     geom = model.geometry
+    diag = ControlDiagnostics()
     try:
         pose = forward_kinematics(geom, lengths, state.prev_pose)
-    except NoConvergence as exc:
-        new_state = replace(state, braked=True,
-                            brake_reason=f"forward kinematics: {exc}")
-        return (Command.brake(new_state.brake_reason), new_state,
-                ControlDiagnostics())
-    if evaluate_at_reference:
-        error = -pose_difference(ref.pose, pose)
-    else:
-        error = pose_difference(pose, ref.pose)
-    err_history = (state.error_history + (error,))[-state.window:]
-    err_stack = finite_difference_stack(err_history, dt,
-                                        gains.derivative_order)
+        if evaluate_at_reference:
+            error = -pose_difference(ref.pose, pose)
+        else:
+            error = pose_difference(pose, ref.pose)
+        err_history = (state.error_history + (error,))[-state.window:]
+        err_stack = finite_difference_stack(err_history, dt,
+                                            gains.derivative_order)
 
-    # shared-gain law on tangent vectors, state advanced by exact
-    # discretization after the output is formed
-    accel_cmd = ref.accel.copy()
-    if gains.state_dim:
-        accel_cmd += np.tensordot(gains.C[0], state.xi, axes=1)
-    accel_cmd += np.tensordot(gains.D[0], err_stack, axes=1)
-    ad, bd = discretize(gains.A, gains.B, dt)
-    xi_next = ad @ state.xi + np.outer(bd[:, 0], error) \
-        if gains.state_dim else state.xi
+        # shared-gain law on tangent vectors, state advanced by exact
+        # discretization after the output is formed
+        accel_cmd = ref.accel.copy()
+        if gains.state_dim:
+            accel_cmd += np.tensordot(gains.C[0], state.xi, axes=1)
+        accel_cmd += np.tensordot(gains.D[0], err_stack, axes=1)
+        ad, bd = discretize(gains.A, gains.B, dt)
+        xi_next = ad @ state.xi + np.outer(bd[:, 0], error) \
+            if gains.state_dim else state.xi
 
-    eval_pose = ref.pose if evaluate_at_reference else pose
-    # one batched cable evaluation covers jacobian, mass and bias terms
-    if isinstance(eval_pose, EuclideanPose):
-        jac, mass, slabs = point_mass_tables(model, eval_pose.coords)
-    else:
-        jac, mass, slabs = rigid_pose_tables(model, eval_pose)
-    if evaluate_at_reference:
-        twist = ref.velocity
-    else:
-        twist = _estimate_twist(jac, state.length_history, lengths, dt)
-    wrench_cmd = mass @ accel_cmd + _potential_gradient(model, eval_pose)
-    if np.any(twist):
-        wrench_cmd += _velocity_bias(slabs, twist)
-    ref_rates = jac @ ref.velocity if evaluate_at_reference \
-        else jacobian(geom, ref.pose) @ ref.velocity
-    command_offset = gains.back_emf * ref_rates
-    no_load = no_load_forces(model, eval_pose, twist, accel_cmd, jac=jac)
-
+        eval_pose = ref.pose if evaluate_at_reference else pose
+        # one batched cable evaluation covers jacobian, mass and bias terms
+        if isinstance(eval_pose, EuclideanPose):
+            jac, mass, slabs = point_mass_tables(model, eval_pose.coords)
+        else:
+            jac, mass, slabs = rigid_pose_tables(model, eval_pose)
+        if evaluate_at_reference:
+            twist = ref.velocity
+        else:
+            twist = _estimate_twist(jac, state.length_history, lengths, dt)
+        wrench_cmd = mass @ accel_cmd + _potential_gradient(model, eval_pose)
+        if np.any(twist):
+            wrench_cmd += _velocity_bias(slabs, twist)
+        ref_rates = jac @ ref.velocity if evaluate_at_reference \
+            else jacobian(geom, ref.pose) @ ref.velocity
+        command_offset = gains.back_emf * ref_rates
+        no_load = no_load_forces(model, eval_pose, twist, accel_cmd, jac=jac)
+        diag = ControlDiagnostics(pose=pose, pose_error=error,
+                                  accel_cmd=accel_cmd, wrench_cmd=wrench_cmd,
+                                  no_load=no_load)
+        forces = distribute(jac, wrench_cmd, command_offset, no_load, con,
+                            pattern_hint=state.solver_hint)
+    except ParactlError as exc:
+        braked = replace(state, braked=True,
+                         brake_reason=f"{type(exc).__name__}: {exc}")
+        return Command.brake(braked.brake_reason), braked, diag
     new_state = replace(
         state, xi=xi_next, error_history=tuple(err_history),
         length_history=(state.length_history + (lengths,))[-state.window:],
-        prev_pose=pose)
-    try:
-        forces = distribute(jac, wrench_cmd, command_offset, no_load, con,
-                            pattern_hint=state.solver_hint)
-    except InfeasibleWrench as exc:
-        new_state = replace(new_state, braked=True,
-                            brake_reason=f"out of workspace: {exc}")
-        return (Command.brake(new_state.brake_reason), new_state,
-                ControlDiagnostics(pose=pose, pose_error=error,
-                                   accel_cmd=accel_cmd,
-                                   wrench_cmd=wrench_cmd, no_load=no_load))
-    new_state = replace(new_state, solver_hint=active_pattern(
-        con, forces, command_offset, no_load))
-    diag = ControlDiagnostics(pose=pose, pose_error=error,
-                              accel_cmd=accel_cmd, wrench_cmd=wrench_cmd,
-                              forces=forces, command_offset=command_offset,
-                              no_load=no_load, tensions=no_load - forces)
+        prev_pose=pose,
+        solver_hint=active_pattern(con, forces, command_offset, no_load))
+    diag = replace(diag, forces=forces, command_offset=command_offset,
+                   tensions=no_load - forces)
     return Command.apply(forces + command_offset), new_state, diag
 
 

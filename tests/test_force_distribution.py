@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import planar3_pose
 from oracles import bounds_from_constraints, kkt_enumeration
-from paractl import (ForceConstraints, InfeasibleWrench, RankDeficient,
-                     distribute, in_constraint_set, jacobian,
-                     wrench_feasible)
+from paractl import (ForceConstraints, InfeasibleWrench, NoConvergence,
+                     RankDeficient, distribute, force_distribution,
+                     in_constraint_set, jacobian, wrench_feasible)
 from paractl.force_distribution import active_pattern
 
 HOLD_WRENCH = np.array([0.0, 9.81])
@@ -179,27 +181,58 @@ def test_enlarging_command_limit_keeps_feasibility(f_max, factor):
                                bigger)
 
 
-def test_distribute_frees_small_descent_direction():
-    # A cold rigid pose whose bounded least-squares pass once stopped with
-    # residual 4.5e-5: one bound variable's descent gradient (1.7e-9) sat
-    # below the scale-relative freeing threshold, so a feasible static
-    # wrench was reported infeasible.
-    from pathlib import Path
+def _cube8_static_problem(seed, index):
+    """Cold cube8 pose `index` of a seeded uniform draw over the workspace
+    box and +-0.3 rad rotation vectors, with its static bias wrench."""
     from paractl import RigidPose, bias_force, load_config
     from paractl.kinematics import quat_from_rotation_vector
     cfg = load_config(Path(__file__).parent.parent / "configs" / "cube8.json")
-    rng = np.random.default_rng([3, 4])
+    rng = np.random.default_rng(seed)
     positions = rng.uniform(cfg.workspace_min, cfg.workspace_max, (500, 3))
     rotvecs = rng.uniform(-0.3, 0.3, (500, 3))
-    pose = RigidPose(positions[250], quat_from_rotation_vector(rotvecs[250]))
-    model = cfg.model
-    jac = jacobian(model.geometry, pose)
-    wrench = bias_force(model, pose, np.zeros(6))
-    zeros = np.zeros(model.actuator_count)
-    lo, hi = bounds_from_constraints(cfg.constraints, zeros, zeros)
-    ref = kkt_enumeration(jac, wrench, lo, hi)
-    assert ref is not None
-    f = distribute(jac, wrench, zeros, zeros, cfg.constraints)
-    np.testing.assert_allclose(f, ref, atol=1e-6)
-    assert np.max(np.abs(jac.T @ f - wrench)) <= 1e-8
-    assert in_constraint_set(cfg.constraints, f, zeros, zeros)
+    pose = RigidPose(positions[index],
+                     quat_from_rotation_vector(rotvecs[index]))
+    jac = jacobian(cfg.model.geometry, pose)
+    wrench = bias_force(cfg.model, pose, np.zeros(6))
+    return jac, wrench, cfg.constraints
+
+
+@pytest.mark.parametrize("seed, indices", [
+    ([3, 4], [250]),
+    ([5, 0], [264]),
+    ([9, 0], range(100)),
+], ids=["pose_3_4_250", "pose_5_0_264", "batch_9_0"])
+def test_distribute_cube8_matches_enumeration(seed, indices):
+    # 8 cables, 6 DOF: the optimum can hold two bounds, and infeasible
+    # wrenches must be certified, which the planar cases barely exercise.
+    # [3, 4]/250 is feasible by a margin of only 0.06 N and its optimum is
+    # reached after a bound drop; at [5, 0]/264 the free least-norm point
+    # violates three bounds but only two are active at the optimum
+    # (|f| = 284.0 N), where a primal walk once stopped at 344.6 N.
+    zeros = np.zeros(8)
+    for index in indices:
+        jac, wrench, con = _cube8_static_problem(seed, index)
+        lo, hi = bounds_from_constraints(con, zeros, zeros)
+        ref = kkt_enumeration(jac, wrench, lo, hi)
+        if ref is None:
+            with pytest.raises(InfeasibleWrench):
+                distribute(jac, wrench, zeros, zeros, con)
+            continue
+        f = distribute(jac, wrench, zeros, zeros, con)
+        np.testing.assert_allclose(f, ref, atol=1e-6)
+        assert np.max(np.abs(jac.T @ f - wrench)) <= 1e-8
+        assert in_constraint_set(con, f, zeros, zeros)
+
+
+def test_distribute_reports_iteration_cap(monkeypatch):
+    # the planar hold optimum has two active bounds, so a cap of zero
+    # active-set changes cannot reach it; an in-box wrench needs none
+    con = ForceConstraints.uniform(3, min_tension=0.5, max_command=50.0)
+    monkeypatch.setattr(force_distribution, "MAX_ACTIVE_SET_ITERS", 0)
+    with pytest.raises(NoConvergence):
+        distribute(planar3_jacobian(), HOLD_WRENCH, np.zeros(3),
+                   np.zeros(3), con)
+    free = ForceConstraints.uniform(3)
+    f = distribute(planar3_jacobian(), np.zeros(2), np.zeros(3),
+                   np.full(3, 10.0), free)
+    np.testing.assert_array_equal(f, np.zeros(3))

@@ -7,7 +7,7 @@ from paractl import (Command, EuclideanPose, ReferenceSample, RobotGeometry,
                      control_step, finite_difference_stack,
                      inverse_kinematics, jacobian, matrix_action, pd_gains,
                      predicted_modal_response, feedforward_step,
-                     ForceConstraints)
+                     ForceConstraints, force_distribution)
 from paractl.actuator import ActuatorModel
 
 
@@ -103,6 +103,56 @@ def test_control_step_brake_on_unreachable_reference(planar3_model,
                                   planar3_constraints, state, lengths,
                                   hold_reference(pose), 1e-3)
     assert cmd2.is_brake
+
+
+def _assert_latched_brake(model, gains, con, state, lengths, ref, cause,
+                          **kwargs):
+    cmd, state, _ = control_step(model, gains, con, state, lengths, ref,
+                                 1e-3, **kwargs)
+    assert cmd.is_brake and state.braked
+    assert cause in cmd.reason and cause in state.brake_reason
+    cmd, state, _ = control_step(model, gains, con, state, lengths, ref,
+                                 1e-3, **kwargs)
+    assert cmd.is_brake and cause in cmd.reason
+
+
+def test_control_step_brakes_on_nan_reading(planar3_model,
+                                            planar3_constraints,
+                                            planar3_gains):
+    pose = planar3_pose()
+    lengths = inverse_kinematics(planar3_model.geometry, pose)
+    lengths[1] = np.nan
+    state = SystemControllerState.initial(planar3_gains, pose)
+    _assert_latched_brake(planar3_model, planar3_gains, planar3_constraints,
+                          state, lengths, hold_reference(pose),
+                          "RankDeficient")
+
+
+def test_control_step_brakes_on_reference_at_anchor(planar3_model,
+                                                    planar3_constraints,
+                                                    planar3_gains):
+    pose = planar3_pose()
+    lengths = inverse_kinematics(planar3_model.geometry, pose)
+    state = SystemControllerState.initial(planar3_gains, pose)
+    # the reference sits on the first anchor, where that cable has no
+    # direction, and the tables are evaluated there
+    _assert_latched_brake(planar3_model, planar3_gains, planar3_constraints,
+                          state, lengths,
+                          hold_reference(EuclideanPose([0.0, 0.0])),
+                          "DegenerateGeometry", evaluate_at_reference=True)
+
+
+def test_control_step_brakes_on_force_solver_cap(monkeypatch, planar3_model,
+                                                 planar3_constraints,
+                                                 planar3_gains):
+    # a cold hold tick needs two bounds added, which a cap of zero forbids
+    monkeypatch.setattr(force_distribution, "MAX_ACTIVE_SET_ITERS", 0)
+    pose = planar3_pose()
+    lengths = inverse_kinematics(planar3_model.geometry, pose)
+    state = SystemControllerState.initial(planar3_gains, pose)
+    _assert_latched_brake(planar3_model, planar3_gains, planar3_constraints,
+                          state, lengths, hold_reference(pose),
+                          "NoConvergence")
 
 
 def test_control_step_wrench_realized(planar3_model, planar3_constraints,
