@@ -232,6 +232,20 @@ def _velocity_bias(slabs: np.ndarray, twist: np.ndarray) -> np.ndarray:
     return mdot @ twist - quad
 
 
+def _acceleration(model: RobotModel, pose: Pose, mass: np.ndarray,
+                  slabs: np.ndarray, twist: np.ndarray,
+                  wrench: np.ndarray) -> np.ndarray:
+    """M^{-1} (wrench - dV/dtheta - velocity bias) from the tables at
+    `pose`; SingularMass when M is singular."""
+    rhs = wrench - _potential_gradient(model, pose)
+    if np.any(twist):
+        rhs = rhs - _velocity_bias(slabs, twist)
+    try:
+        return np.linalg.solve(mass, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMass("mass matrix is singular") from exc
+
+
 _OFFSET_CACHE: dict = {}
 
 
@@ -272,12 +286,6 @@ def point_mass_tables(model: RobotModel, coords: np.ndarray,
     mass = body + m0 * grams[0]
     slabs = m0 * (grams[1::2] - grams[2::2]) / (2.0 * step)
     return rows[0], mass, slabs
-
-
-def _mass_and_slabs_point(model: RobotModel, pose: EuclideanPose,
-                          step: float) -> tuple[np.ndarray, np.ndarray]:
-    _, mass, slabs = point_mass_tables(model, pose.coords, step)
-    return mass, slabs
 
 
 def bias_force(model: RobotModel, pose: Pose, twist: np.ndarray,
@@ -330,18 +338,12 @@ def cable_tensions(no_load: np.ndarray, applied: np.ndarray) -> np.ndarray:
 def forward_dynamics(model: RobotModel, pose: Pose, twist: np.ndarray,
                      wrench: np.ndarray) -> np.ndarray:
     """Acceleration produced by a wrench: M^{-1} (wrench - bias)."""
-    twist = np.asarray(twist, float)
     if isinstance(pose, EuclideanPose):
-        m, slabs = _mass_and_slabs_point(model, pose, FD_STEP)
+        _, m, slabs = point_mass_tables(model, pose.coords)
     else:
         _, m, slabs = rigid_pose_tables(model, pose)
-    rhs = np.asarray(wrench, float) - _potential_gradient(model, pose)
-    if np.any(twist):
-        rhs = rhs - _velocity_bias(slabs, twist)
-    try:
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMass("mass matrix is singular") from exc
+    return _acceleration(model, pose, m, slabs, np.asarray(twist, float),
+                         np.asarray(wrench, float))
 
 
 @dataclass(frozen=True)

@@ -34,4 +34,5 @@ class ParseError(ParactlError):
 
 
 class ValidationError(ParactlError):
-    """A parsed config violates a structural or physical invariant."""
+    """An input (a parsed config, a function argument) violates a structural
+    or physical invariant."""

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleWrench, NoConvergence, RankDeficient
+from .errors import (InfeasibleWrench, NoConvergence, RankDeficient,
+                     ValidationError)
 
 RESIDUAL_TOL = 1e-8
 MAX_ACTIVE_SET_ITERS = 200
@@ -202,12 +203,20 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
     certificate, a violated bound that neither a primal step nor a drop
     can reach, and NoConvergence when its adds plus drops reach
     MAX_ACTIVE_SET_ITERS.  The final working set is re-solved once to
-    remove the rounding the iteration accumulated.
+    remove the rounding the iteration accumulated.  A NaN or infinite
+    entry in `jac`, `wrench`, `command_offset` or `no_load` raises
+    ValidationError naming the argument.
     """
-    jac = np.asarray(jac, float)
-    wrench = np.asarray(wrench, float)
-    command_offset = np.asarray(command_offset, float)
-    no_load = np.asarray(no_load, float)
+    arrays = [np.asarray(value, float)
+              for value in (jac, wrench, command_offset, no_load)]
+    # one check over all four on the hot path; the culprit is looked up
+    # only on failure
+    if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        bad = next(name for name, a in zip(
+            ("jac", "wrench", "command_offset", "no_load"), arrays)
+            if not np.isfinite(a).all())
+        raise ValidationError(f"{bad} has a non-finite entry")
+    jac, wrench, command_offset, no_load = arrays
     gram = jac.T @ jac
     gram_eigs = np.linalg.eigvalsh(gram)
     if gram_eigs[0] <= 1e-20 * max(gram_eigs[-1], 1.0):

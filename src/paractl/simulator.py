@@ -4,20 +4,28 @@ The plant integrates the end-effector equations of motion under the
 commanded actuator forces with RK4, substepping several physics steps per
 control tick.  Sensing is ideal by default: the measured actuator values
 are the true ones, optionally with seeded Gaussian noise.
+
+RK4 works on one packed state vector, made from a `PlantState` and split
+back into one only at step boundaries:
+
+    rigid body   [position (3), quaternion (4), twist (6), filter states]
+    point mass   [coords (d), twist (d), filter states]
+
+Filter states exist only under a command filter (`_command_filter`) and
+are stored actuator by actuator.  The quaternion is renormalized wherever
+the vector is read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (RobotModel, _potential_gradient, _velocity_bias,
-                       modal_decomposition, point_mass_tables,
-                       rigid_pose_tables)
+from .dynamics import (RobotModel, _acceleration, modal_decomposition,
+                       point_mass_tables, rigid_pose_tables)
 from .errors import NumericBlowup, ValidationError
-from .kinematics import (EuclideanPose, Pose, RigidPose,
-                         inverse_kinematics, manifold_dim,
+from .kinematics import (EuclideanPose, Pose, RigidPose, inverse_kinematics,
                          pose_to_chart, quat_multiply, quat_normalize)
 from .force_distribution import ForceConstraints
 from .system import ControllerGains, SystemControllerState, control_step
@@ -69,30 +77,29 @@ class PlantState:
         object.__setattr__(self, "twist", np.asarray(self.twist, float))
 
 
-def _pack(ps: PlantState) -> np.ndarray:
+def _pack(ps: PlantState, n: int, filt) -> np.ndarray:
+    """Packed state of `ps`; missing filter states start at zero."""
     if isinstance(ps.pose, RigidPose):
         parts = [ps.pose.position, ps.pose.quaternion, ps.twist]
     else:
         parts = [ps.pose.coords, ps.twist]
-    if ps.actuator_states is not None:
-        parts.append(ps.actuator_states.reshape(-1))
+    if filt is not None:
+        states = ps.actuator_states
+        if states is None:
+            states = np.zeros((n, filt[0].shape[0]))
+        parts.append(states.reshape(-1))
     return np.concatenate(parts)
 
 
-def _unpack(ps: PlantState, vec: np.ndarray) -> PlantState:
-    if isinstance(ps.pose, RigidPose):
-        pose = RigidPose(vec[:3], quat_normalize(vec[3:7]))
-        twist = vec[7:13]
-        rest = vec[13:]
+def _unpack(model: RobotModel, y: np.ndarray, time: float) -> PlantState:
+    if model.geometry.is_rigid:
+        pose = RigidPose(y[:3], quat_normalize(y[3:7]))
+        twist, rest = y[7:13], y[13:]
     else:
-        d = ps.pose.coords.size
-        pose = EuclideanPose(vec[:d])
-        twist = vec[d:2 * d]
-        rest = vec[2 * d:]
-    states = None
-    if ps.actuator_states is not None:
-        states = rest.reshape(ps.actuator_states.shape)
-    return PlantState(pose=pose, twist=twist, time=ps.time,
+        d = model.manifold_dim
+        pose, twist, rest = EuclideanPose(y[:d]), y[d:2 * d], y[2 * d:]
+    states = rest.reshape(model.actuator_count, -1) if rest.size else None
+    return PlantState(pose=pose, twist=twist, time=time,
                       actuator_states=states)
 
 
@@ -100,7 +107,10 @@ def _unpack(ps: PlantState, vec: np.ndarray) -> PlantState:
 def _command_filter(act):
     """Per-actuator linear filter from command force to supplied force.
 
-    Identity for the ideal model.  Value-rate coefficients beyond the
+    None for the ideal model, else (a, b, c, feed): each actuator's filter
+    states s follow s' = a s + b f_cmd and supply s . c + feed f_cmd, the
+    direct feedthrough `feed` being nonzero only when the command and
+    force derivative orders match.  Value-rate coefficients beyond the
     back-EMF term would demand value-acceleration feedthrough inside the
     force law, which the explicit integrator cannot honor, so they are
     rejected here (the eigenvalue analysis still accepts them).
@@ -116,69 +126,50 @@ def _command_filter(act):
     if nc == 0:
         return None
     den = np.concatenate([[1.0], act.force_deriv_coeffs])   # ascending
-    num = np.concatenate([[1.0], act.command_deriv_coeffs])
     lead = den[-1]
     den = den / lead
-    deg = nc
-    a = np.zeros((deg, deg))
-    a[:-1, 1:] = np.eye(deg - 1)
+    num = np.zeros(nc + 1)
+    num[:len(act.command_deriv_coeffs) + 1] = np.concatenate(
+        [[1.0], act.command_deriv_coeffs]) / lead
+    feed = num[-1]
+    a = np.zeros((nc, nc))
+    a[:-1, 1:] = np.eye(nc - 1)
     a[-1, :] = -den[:-1]
-    b = np.zeros(deg)
+    b = np.zeros(nc)
     b[-1] = 1.0
-    c = np.zeros(deg)
-    c[:num.size] = num / lead
-    return a, b, c
+    return a, b, num[:-1] - feed * den[:-1], feed
 
 
-def _state_derivative(model: RobotModel, ps: PlantState, pose: Pose,
-                      twist: np.ndarray, states, forces_cmd: np.ndarray,
-                      filt, extra_wrench) -> np.ndarray:
-    if isinstance(pose, EuclideanPose):
-        rows, mass, slabs = point_mass_tables(model, pose.coords)
-    else:
+def _derivative(model: RobotModel, y: np.ndarray, forces_cmd: np.ndarray,
+                filt, extra_wrench) -> np.ndarray:
+    """Time derivative of the packed plant state."""
+    if model.geometry.is_rigid:
+        pose = RigidPose(y[:3], quat_normalize(y[3:7]))
+        twist, states = y[7:13], y[13:]
         rows, mass, slabs = rigid_pose_tables(model, pose)
-    rates = rows @ twist
-    if filt is None:
-        supplied = forces_cmd - model.actuator.back_emf * rates
-        filter_dot = None
+        spin = np.concatenate([[0.0], twist[3:]])
+        head = [twist[:3], 0.5 * quat_multiply(spin, pose.quaternion)]
     else:
-        a, b, c = filt
-        supplied = states @ c - model.actuator.back_emf * rates
-        filter_dot = states @ a.T + np.outer(forces_cmd, b)
+        d = model.manifold_dim
+        pose, twist, states = EuclideanPose(y[:d]), y[d:2 * d], y[2 * d:]
+        rows, mass, slabs = point_mass_tables(model, pose.coords)
+        head = [twist]
+    supplied, tail = forces_cmd, []
+    if filt is not None:
+        a, b, c, feed = filt
+        states = states.reshape(-1, b.size)
+        supplied = states @ c
+        if feed:
+            supplied = supplied + feed * forces_cmd
+        tail = [(states @ a.T + np.outer(forces_cmd, b)).reshape(-1)]
+    back_emf = model.actuator.back_emf
+    if back_emf:
+        supplied = supplied - back_emf * (rows @ twist)
     wrench = rows.T @ supplied
     if extra_wrench is not None:
         wrench = wrench + extra_wrench
-    rhs = wrench - _potential_gradient(model, pose)
-    if np.any(twist):
-        rhs = rhs - _velocity_bias(slabs, twist)
-    accel = np.linalg.solve(mass, rhs)
-    if isinstance(pose, RigidPose):
-        quat_dot = 0.5 * quat_multiply(np.concatenate([[0.0], twist[3:]]),
-                                       pose.quaternion)
-        parts = [twist[:3], quat_dot, accel]
-    else:
-        parts = [twist, accel]
-    if filter_dot is not None:
-        parts.append(filter_dot.reshape(-1))
-    return np.concatenate(parts)
-
-
-def _flat_point_derivative(model: RobotModel, d: int, y: np.ndarray,
-                           forces_cmd: np.ndarray, back_emf: float,
-                           extra_wrench) -> np.ndarray:
-    """Point-mass plant derivative on the packed [coords, twist] vector."""
-    coords = y[:d]
-    twist = y[d:]
-    rows, mass, slabs = point_mass_tables(model, coords)
-    supplied = forces_cmd - back_emf * (rows @ twist) if back_emf \
-        else forces_cmd
-    wrench = rows.T @ supplied
-    if extra_wrench is not None:
-        wrench = wrench + extra_wrench
-    rhs = wrench - _potential_gradient(model, EuclideanPose(coords))
-    if np.any(twist):
-        rhs = rhs - _velocity_bias(slabs, twist)
-    return np.concatenate([twist, np.linalg.solve(mass, rhs)])
+    accel = _acceleration(model, pose, mass, slabs, twist, wrench)
+    return np.concatenate([*head, accel, *tail])
 
 
 def step_plant(model: RobotModel, ps: PlantState, forces_cmd: np.ndarray,
@@ -187,27 +178,11 @@ def step_plant(model: RobotModel, ps: PlantState, forces_cmd: np.ndarray,
     """Advance the plant one RK4 step under constant commanded forces."""
     forces_cmd = np.asarray(forces_cmd, float)
     filt = _command_filter(model.actuator)
-    if filt is not None and ps.actuator_states is None:
-        ps = replace(ps, actuator_states=np.zeros(
-            (model.actuator_count, filt[0].shape[0])))
 
-    if filt is None and isinstance(ps.pose, EuclideanPose):
-        d = ps.pose.coords.size
-        back_emf = model.actuator.back_emf
+    def deriv(y: np.ndarray) -> np.ndarray:
+        return _derivative(model, y, forces_cmd, filt, extra_wrench)
 
-        def deriv(vec: np.ndarray) -> np.ndarray:
-            return _flat_point_derivative(model, d, vec, forces_cmd,
-                                          back_emf, extra_wrench)
-
-        y0 = np.concatenate([ps.pose.coords, ps.twist])
-    else:
-        def deriv(vec: np.ndarray) -> np.ndarray:
-            probe = _unpack(ps, vec)
-            return _state_derivative(model, ps, probe.pose, probe.twist,
-                                     probe.actuator_states, forces_cmd,
-                                     filt, extra_wrench)
-
-        y0 = _pack(ps)
+    y0 = _pack(ps, model.actuator_count, filt)
     k1 = deriv(y0)
     k2 = deriv(y0 + (0.5 * dt) * k1)
     k3 = deriv(y0 + (0.5 * dt) * k2)
@@ -215,8 +190,7 @@ def step_plant(model: RobotModel, ps: PlantState, forces_cmd: np.ndarray,
     y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(y1)) or np.max(np.abs(y1)) > BLOWUP_LIMIT:
         raise NumericBlowup(f"plant state diverged at t={ps.time}")
-    out = _unpack(ps, y1)
-    return replace(out, time=ps.time + dt)
+    return _unpack(model, y1, ps.time + dt)
 
 
 @dataclass

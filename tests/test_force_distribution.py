@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from conftest import planar3_pose
 from oracles import bounds_from_constraints, kkt_enumeration
 from paractl import (ForceConstraints, InfeasibleWrench, NoConvergence,
-                     RankDeficient, distribute, force_distribution,
-                     in_constraint_set, jacobian, wrench_feasible)
+                     RankDeficient, ValidationError, distribute,
+                     force_distribution, in_constraint_set, jacobian,
+                     wrench_feasible)
 from paractl.force_distribution import active_pattern
 
 HOLD_WRENCH = np.array([0.0, 9.81])
@@ -95,6 +96,20 @@ def test_distribute_rank_deficient():
     con = ForceConstraints.uniform(3)
     with pytest.raises(RankDeficient):
         distribute(jac, np.array([1.0, 2.0]), np.zeros(3), np.zeros(3), con)
+
+
+@pytest.mark.parametrize("hint", [None, (0, 0, 0)], ids=["cold", "hinted"])
+@pytest.mark.parametrize("name, bad", [("jac", np.nan), ("wrench", np.nan),
+                                       ("command_offset", np.inf),
+                                       ("no_load", -np.inf)])
+def test_distribute_rejects_non_finite_input(name, bad, hint):
+    # the bounds may be infinite, the arguments may not
+    con = ForceConstraints.uniform(3, min_tension=0.5)
+    args = {"jac": planar3_jacobian(), "wrench": HOLD_WRENCH.copy(),
+            "command_offset": np.zeros(3), "no_load": np.zeros(3)}
+    args[name].flat[0] = bad
+    with pytest.raises(ValidationError, match=name):
+        distribute(con=con, pattern_hint=hint, **args)
 
 
 def test_wrench_feasible_zero_inside_box():

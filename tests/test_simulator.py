@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import planar3_pose
+from conftest import cube8_home, cube8_model, planar3_pose
 from paractl import (ActuatorModel, EuclideanPose, ForceConstraints,
                      InertialParams, NumericBlowup, PlantState,
-                     RobotGeometry, RobotModel, SimConfig, Trajectory,
-                     ValidationError, mass_matrix, modal_decomposition,
-                     pd_gains, run_closed_loop, settling_time,
-                     simulate_single_actuator, step_plant, tracking_metrics)
+                     RobotGeometry, RobotModel, SimConfig, SingularMass,
+                     Trajectory, ValidationError, jacobian, mass_matrix,
+                     modal_decomposition, pd_gains, run_closed_loop,
+                     settling_time, simulate_single_actuator, step_plant,
+                     total_energy, tracking_metrics)
 from paractl.simulator import TraceLog
 
 
@@ -86,6 +89,77 @@ def test_command_filter_first_order_lag():
     assert ps.twist[0] < 0.4 * 0.5  # lag ate some impulse
     v_expected = 0.4 * (0.5 - 0.05 * (1 - np.exp(-0.5 / 0.05)))
     assert ps.twist[0] == pytest.approx(v_expected, rel=1e-4)
+
+
+def test_command_filter_biproper_feedthrough():
+    # c_cmd as long as c: a direct feedthrough D = c_cmd / c supplies
+    # D f at once, and the rest of the command arrives with the lag
+    geom = RobotGeometry.point_mass([[0.0]])
+    model = RobotModel(
+        geom, InertialParams(body_mass=1.0, gravity=[0.0]),
+        ActuatorModel(rate_coeffs=(0.0,), force_deriv_coeffs=(0.05,),
+                      command_deriv_coeffs=(0.02,)))
+    ps = PlantState(EuclideanPose([1.0]), np.zeros(1))
+    for _ in range(500):
+        ps = step_plant(model, ps, np.array([0.4]), 1e-3)
+    feed, tau = 0.02 / 0.05, 0.05
+    v_expected = 0.4 * (0.5 - (1 - feed) * tau * (1 - np.exp(-0.5 / tau)))
+    assert ps.twist[0] == pytest.approx(v_expected, rel=1e-4)
+
+
+def test_plant_raises_singular_mass():
+    model = RobotModel(free_model().geometry,
+                       InertialParams(body_mass=0.0, gravity=[0.0, 0.0],
+                                      actuator_mass=0.0))
+    ps = PlantState(planar3_pose(), np.zeros(2))
+    with pytest.raises(SingularMass):
+        step_plant(model, ps, np.ones(3), 1e-3)
+
+
+def _trapezoid(values: np.ndarray, dt: float) -> float:
+    return dt * (values.sum() - 0.5 * (values[0] + values[-1]))
+
+
+def _free_cube8_run(actuator, forces, steps, dt=1e-3):
+    """Total energy and actuator rates of cube8 with gravity off at every
+    step of a run from a spinning start under constant commands."""
+    base = cube8_model()
+    model = replace(base, actuator=actuator,
+                    inertial=replace(base.inertial, gravity=np.zeros(3)))
+    ps = PlantState(cube8_home(), np.array([0.1, -0.05, 0.02, 0.4, 0.3,
+                                            -0.2]))
+    energy, rates = [], []
+    for k in range(steps + 1):
+        energy.append(total_energy(model, ps.pose, ps.twist))
+        rates.append(jacobian(model.geometry, ps.pose) @ ps.twist)
+        if k < steps:
+            ps = step_plant(model, ps, forces, dt)
+    return np.array(energy), np.array(rates), dt * np.arange(steps + 1)
+
+
+def test_rigid_plant_back_emf_dissipation():
+    # zero command: the supplied force is -k0 J twist, so the energy lost
+    # is the integral of k0 |J twist|^2
+    energy, rates, t = _free_cube8_run(ActuatorModel.ideal(0.4),
+                                       np.zeros(8), steps=1000)
+    lost = _trapezoid(0.4 * np.sum(rates**2, axis=1), t[1] - t[0])
+    assert energy[0] - energy[-1] == pytest.approx(lost, rel=1e-5)
+
+
+@pytest.mark.parametrize("c_cmd", [(), (0.02,)], ids=["lag", "biproper"])
+def test_rigid_plant_command_filter_power(c_cmd):
+    # from zero filter states a constant command f_c is supplied as
+    # s(t) = f_c (1 - (1 - D) e^{-t/tau}), D = c_cmd / c, and the energy
+    # gained is the work of s on the actuator rates
+    tau = 0.05
+    feed = c_cmd[0] / tau if c_cmd else 0.0
+    f_c = np.linspace(-3.0, 3.0, 8)
+    actuator = ActuatorModel(rate_coeffs=(0.0,), force_deriv_coeffs=(tau,),
+                             command_deriv_coeffs=c_cmd)
+    energy, rates, t = _free_cube8_run(actuator, f_c, steps=500)
+    supplied = f_c * (1 - (1 - feed) * np.exp(-t / tau))[:, None]
+    work = _trapezoid(np.sum(supplied * rates, axis=1), t[1] - t[0])
+    assert energy[-1] - energy[0] == pytest.approx(work, rel=1e-4)
 
 
 def test_plant_rejects_higher_value_rate_coefficients():

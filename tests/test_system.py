@@ -155,6 +155,16 @@ def test_control_step_brakes_on_force_solver_cap(monkeypatch, planar3_model,
                           "NoConvergence")
 
 
+def test_control_step_brakes_on_nan_reference_acceleration(
+        planar3_model, planar3_constraints, planar3_gains):
+    pose = planar3_pose()
+    lengths = inverse_kinematics(planar3_model.geometry, pose)
+    state = SystemControllerState.initial(planar3_gains, pose)
+    ref = ReferenceSample(pose, np.zeros(2), np.array([np.nan, 0.0]))
+    _assert_latched_brake(planar3_model, planar3_gains, planar3_constraints,
+                          state, lengths, ref, "ValidationError: ")
+
+
 def test_control_step_wrench_realized(planar3_model, planar3_constraints,
                                       planar3_gains):
     pose = planar3_pose()
