@@ -4,6 +4,22 @@ The controller family is a linear state-space feedback on the tracking
 error plus acceleration/velocity feed-forward.  One error-sign convention
 is used throughout the library: error = reference - actual, and stabilizing
 feedback enters with positive gain coefficients.
+
+The passive load enters the actuator response only through the value-rate
+terms divided by its mass m, so the closed-loop characteristic polynomial
+is affine in 1/m:
+
+    chi(s) = chi_inf(s) + (1/m) chi_rate(s)
+
+`chi_inf` is the clamped (m = inf) loop and `chi_rate` is the rate
+polynomial times the controller's characteristic polynomial.  The pair
+depends only on the gains and the actuator model, so it is built once and
+cached; each mass then adds chi_rate / m to chi_inf.  With all rate terms
+zero (no back-EMF) `chi_rate` vanishes and the poles do not depend on the
+load at all: this is the no-gain-scheduling property in its structural
+form.
+A passive-load mass must be positive or +inf; NaN is rejected with
+ValueError wherever a mass is accepted.
 """
 from __future__ import annotations
 
@@ -103,8 +119,9 @@ def open_loop_command(gains: ControllerGains, mass: float,
                       ref_stack: np.ndarray) -> float:
     """Command force tracking a reference with no error feedback:
     mass times reference acceleration plus back-EMF compensation."""
-    if mass < gains.no_load_mass:
-        raise ValueError("passive load cannot be lighter than no load")
+    if not mass >= gains.no_load_mass:
+        raise ValueError("passive load must be a number no lighter than "
+                         "the no-load mass")
     ref_stack = np.asarray(ref_stack, float)
     return float(mass * ref_stack[2] + gains.back_emf * ref_stack[1])
 
@@ -146,6 +163,7 @@ def feedforward_step(gains: ControllerGains, state: np.ndarray,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    _check_masses(mass)
     error_stack = np.asarray(error_stack, float)
     ref_stack = np.asarray(ref_stack, float)
     if error_stack.size != gains.derivative_order:
@@ -189,53 +207,114 @@ def _leverrier(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.array(coeffs_desc[::-1]), mats
 
 
-def _plant_polynomials(model: ActuatorModel,
-                       mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left side P(s) acting on the value and right side Q(s) acting on the
-    command acceleration, for a passive load of the given mass."""
-    if np.isfinite(mass) and mass <= 0.0:
+def _check_masses(masses) -> None:
+    if np.any(~(np.asarray(masses) > 0.0)):
         raise ValueError("passive-load mass must be positive (or infinite)")
+
+
+def _plant_polynomials(
+        model: ActuatorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left side P(s) = P_inf(s) + P_rate(s) / m acting on the value, as
+    the pair (P_inf, P_rate), and right side Q(s) acting on the command
+    acceleration."""
     degree = max(2, len(model.force_deriv_coeffs) + 2,
                  len(model.rate_coeffs) + 1)
     p = np.zeros(degree + 1)
     p[2] = 1.0
     for i, c in enumerate(model.force_deriv_coeffs):
         p[i + 3] += c
-    if np.isfinite(mass):
-        for j, k in enumerate(model.rate_coeffs):
-            p[j + 1] += k / mass
+    p_rate = np.zeros(degree + 1)
+    for j, k in enumerate(model.rate_coeffs):
+        p_rate[j + 1] = k
     q = np.ones(1)
     for i, c in enumerate(model.command_deriv_coeffs):
         q = _poly_add(q, np.array([0.0] * (i + 1) + [c]))
-    return p, q
+    return p, p_rate, q
 
 
-def closed_loop_poles(gains: ControllerGains, model: ActuatorModel,
-                      mass: float) -> np.ndarray:
-    """Poles of one actuator under the controller, carrying a passive load.
+_CHARACTERISTIC_CACHE: dict = {}
 
-    Regulation loop: reference zero, error = -value.  The characteristic
-    polynomial is P(s) chi_A(s) + Q(s) [C adj(sI-A) B + D(s) chi_A(s)],
-    assembled with exact polynomial arithmetic on the model coefficients.
-    An infinite mass (clamped actuator) drops the value-rate terms.
+
+def _characteristic_pair(gains: ControllerGains,
+                         model: ActuatorModel) -> np.ndarray:
+    """Rows chi_inf and chi_rate (ascending coefficients, one length) of the
+    closed-loop characteristic polynomial chi_inf + chi_rate / m.
+
+    Regulation loop: reference zero, error = -value.  The polynomial is
+    P(s) chi_A(s) + Q(s) [C adj(sI-A) B + D(s) chi_A(s)], assembled with
+    exact polynomial arithmetic on the model coefficients.
     """
-    p, q = _plant_polynomials(model, mass)
+    key = (gains.A.tobytes(), gains.B.tobytes(), gains.C.tobytes(),
+           gains.D.tobytes(), gains.A.shape, gains.D.shape,
+           tuple(model.rate_coeffs), tuple(model.force_deriv_coeffs),
+           tuple(model.command_deriv_coeffs))
+    hit = _CHARACTERISTIC_CACHE.get(key)
+    if hit is not None:
+        return hit
+    p, p_rate, q = _plant_polynomials(model)
     chi, adj_mats = _leverrier(gains.A)
     d_poly = gains.D.reshape(-1)
     t = gains.state_dim
     cab = np.zeros(max(t, 1))
     for k, mat in enumerate(adj_mats):
         cab[t - 1 - k] = (gains.C @ mat @ gains.B)[0, 0]
-    char = _poly_add(_poly_mul(p, chi),
-                     _poly_mul(q, _poly_add(cab, _poly_mul(d_poly, chi))))
-    scale = np.max(np.abs(char))
-    if scale == 0.0:
+    chi_inf = _poly_add(_poly_mul(p, chi),
+                        _poly_mul(q, _poly_add(cab, _poly_mul(d_poly, chi))))
+    chi_rate = _poly_mul(p_rate, chi)
+    pair = np.zeros((2, max(chi_inf.size, chi_rate.size)))
+    pair[0, :chi_inf.size] = chi_inf
+    pair[1, :chi_rate.size] = chi_rate
+    pair.setflags(write=False)
+    if len(_CHARACTERISTIC_CACHE) > 256:
+        _CHARACTERISTIC_CACHE.clear()
+    _CHARACTERISTIC_CACHE[key] = pair
+    return pair
+
+
+def closed_loop_poles(gains: ControllerGains, model: ActuatorModel,
+                      mass: float | np.ndarray
+                      ) -> np.ndarray | list[np.ndarray]:
+    """Poles of one actuator under the controller, carrying a passive load.
+
+    `mass` is a scalar or a 1-D array of masses, each positive or +inf
+    (clamped actuator, which drops the value-rate terms); NaN, zero and
+    negative masses raise ValueError.  A scalar returns one array of
+    poles, an array a list with one pole array per mass.
+
+    Each mass's characteristic polynomial is chi_inf + chi_rate / m from
+    the cached pair (see the module docstring).  Coefficients at or below
+    1e-12 of the polynomial's largest one are zeroed and the top ones
+    trimmed, per mass, since the degree can depend on the mass (higher
+    value-rate terms).  The roots of all masses of one degree come from
+    one eigenvalue call on their stacked companion matrices, each row
+    sorted and returned real when no root has an imaginary part, as
+    `numpy.polynomial.polynomial.polyroots` does.
+    """
+    masses = np.asarray(mass, float)
+    if masses.ndim > 1:
+        raise ValueError("masses must be a scalar or a 1-D array")
+    _check_masses(masses)
+    pair = _characteristic_pair(gains, model)
+    chars = pair[0] + pair[1] / masses.reshape(-1, 1)
+    scale = np.max(np.abs(chars), axis=1, keepdims=True)
+    if np.any(scale == 0.0):
         raise ParactlError("ill-posed model: characteristic polynomial is 0")
-    trimmed = np.trim_zeros(np.where(np.abs(char) > 1e-12 * scale, char, 0.0),
-                            trim="b")
-    if trimmed.size <= 1:
+    keep = np.abs(chars) > 1e-12 * scale
+    chars = np.where(keep, chars, 0.0)
+    degrees = keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+    if np.any(degrees < 1):
         raise ParactlError("ill-posed model: no dynamic modes remain")
-    return np.polynomial.polynomial.polyroots(trimmed)
+    poles = [None] * masses.size
+    for n in np.unique(degrees):
+        rows = np.flatnonzero(degrees == n)
+        companion = np.zeros((rows.size, n, n))
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        companion[:, :, -1] -= chars[rows, :n] / chars[rows, n:n + 1]
+        roots = np.sort(np.linalg.eigvals(companion), axis=1)
+        real = ~np.any(roots.imag, axis=1)
+        for row, r, is_real in zip(rows, roots, real):
+            poles[row] = r.real.copy() if is_real else r
+    return poles[0] if masses.ndim == 0 else poles
 
 
 @dataclass(frozen=True)
@@ -264,15 +343,13 @@ def stability_check(gains: ControllerGains, model: ActuatorModel,
     if gains.no_load_mass > 0.0 and \
             not any(np.isclose(m, gains.no_load_mass) for m in masses):
         raise ValueError("mass sweep must include the no-load mass")
-    max_reals = []
-    all_poles = []
-    for m in masses:
-        poles = closed_loop_poles(gains, model, m)
-        max_reals.append(float(np.max(poles.real)))
-        all_poles.append(tuple(complex(p) for p in poles))
+    poles = closed_loop_poles(gains, model, np.array(masses))
+    max_reals = tuple(float(np.max(p.real)) for p in poles)
     passed = all(r < -1e-9 for r in max_reals)
-    return StabilityReport(masses=masses, max_real_parts=tuple(max_reals),
-                           poles=tuple(all_poles), passed=passed)
+    return StabilityReport(masses=masses, max_real_parts=max_reals,
+                           poles=tuple(tuple(complex(v) for v in p)
+                                       for p in poles),
+                           passed=passed)
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +369,9 @@ class ActuatorTrace:
 def _plant_state_space(model: ActuatorModel, mass: float):
     """Controllable-canonical realization of the passive-load response,
     input = command acceleration, output = actuator value."""
-    p, q = _plant_polynomials(model, mass)
+    _check_masses(mass)
+    p_inf, p_rate, q = _plant_polynomials(model)
+    p = p_inf + p_rate / mass
     scale = np.max(np.abs(p))
     p = np.trim_zeros(np.where(np.abs(p) > 1e-14 * scale, p, 0.0), trim="b")
     deg = p.size - 1

@@ -374,9 +374,15 @@ def modal_decomposition(model: RobotModel, pose: Pose,
     eigenbasis always exists; eigenvectors map back by M^{-1/2} and the
     duals by M^{1/2}, which makes biorthogonality exact by construction.
     Modes are ordered by decreasing eigenvalue (increasing modal mass).
+    The jacobian is evaluated once and M is formed from it as
+    `mass_matrix` does.
     """
-    m = mass_matrix(model, pose)
-    gram = gram_matrix(model.geometry, pose)
+    jac = jacobian(model.geometry, pose)
+    gram = jac.T @ jac
+    m = _body_mass_matrix(model, pose)
+    m0 = model.inertial.actuator_mass
+    if m0 != 0.0:
+        m = m + m0 * gram
     vals, vecs = np.linalg.eigh(m)
     if vals[0] <= zero_tol:
         raise SingularMass("mass matrix is not positive definite")

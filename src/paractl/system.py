@@ -251,12 +251,11 @@ def predicted_modal_response(model: RobotModel, gains: ControllerGains,
 
     Each modal error behaves like a single actuator loaded with the modal
     mass, so its poles come straight from the scalar closed-loop analysis
-    with that mass.
+    with that mass; one batched call covers every mode.
     """
     if actuator_model is None:
         actuator_model = model.actuator
-    decomp = modal_decomposition(model, pose)
-    return [ModalResponse(modal_mass=float(m),
-                          poles=closed_loop_poles(gains, actuator_model,
-                                                  float(m)))
-            for m in decomp.modal_masses]
+    masses = modal_decomposition(model, pose).modal_masses
+    poles = closed_loop_poles(gains, actuator_model, masses)
+    return [ModalResponse(modal_mass=float(m), poles=p)
+            for m, p in zip(masses, poles)]

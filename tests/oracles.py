@@ -3,7 +3,8 @@
 Everything here deliberately takes a different route from the library:
 global-chart Euler-Lagrange differences instead of the exponential-chart
 expansion, exhaustive bound-pattern enumeration instead of the active-set
-walk, plain-sign Routh-Hurwitz instead of eigenvalues.
+walk, plain-sign Routh-Hurwitz instead of eigenvalues, and eigenvalues of
+the closed-loop state matrix instead of characteristic-polynomial roots.
 """
 from itertools import product
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from paractl import (EuclideanPose, RigidPose, mass_matrix,
                      potential_energy)
+from paractl.actuator import _plant_state_space
 from paractl.kinematics import (quat_conjugate, quat_multiply, quat_normalize,
                                 quat_from_rotation_vector,
                                 rotation_vector_from_quat, so3_left_jacobian)
@@ -134,3 +136,27 @@ def routh_hurwitz_2nd_order(kp, kd, back_emf, mass):
     """Strict stability of s^2 + (kd + k0/m)s + kp by coefficient signs."""
     damping = kd + (back_emf / mass if np.isfinite(mass) else 0.0)
     return damping > 0.0 and kp > 0.0
+
+
+def closed_loop_matrix_poles(gains, model, mass):
+    """Eigenvalues of the closed-loop state matrix of one loaded actuator.
+
+    The plant is the state-space realization (a, b, c) from command
+    acceleration to actuator value, the controller (A, B, C, D) is fed
+    error = -value, and the error derivatives are read off the plant
+    state as -c a^j x, which needs c a^(j-1) b = 0 below the feedback
+    order.  No characteristic polynomial is formed.
+    """
+    a, b, c = _plant_state_space(model, mass)
+    rows = [c[0]]
+    for _ in range(gains.derivative_order - 1):
+        assert abs(rows[-1] @ b[:, 0]) <= 1e-12 * np.max(np.abs(rows[-1]))
+        rows.append(rows[-1] @ a)
+    feedback = gains.D[0] @ np.array(rows)      # u = C xi - feedback @ x
+    deg, s = a.shape[0], gains.state_dim
+    closed = np.zeros((deg + s, deg + s))
+    closed[:deg, :deg] = a - np.outer(b[:, 0], feedback)
+    closed[:deg, deg:] = b @ gains.C
+    closed[deg:, :deg] = -gains.B @ c
+    closed[deg:, deg:] = gains.A
+    return np.linalg.eigvals(closed)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from oracles import routh_hurwitz_2nd_order
+from oracles import closed_loop_matrix_poles, routh_hurwitz_2nd_order
 from paractl import (ActuatorModel, ControllerGains, closed_loop_poles,
                      feedforward_step, open_loop_command, pd_gains,
                      simulate_single_actuator, stability_check)
@@ -217,3 +218,95 @@ def test_simulate_unstable_gains_supported():
     trace = simulate_single_actuator(
         gains, IDEAL, 1.0, lambda t: [0.1, 0.0, 0.0], 1e-3, 2.0)
     assert np.abs(trace.error[-1]) > np.abs(trace.error[0])
+
+
+# --------------------------------------------------------------------------
+# batched pole analysis
+
+ORACLE_MODELS = {
+    "ideal": ActuatorModel.ideal(0.0),
+    "back_emf": ActuatorModel.ideal(0.4),
+    "k_higher": ActuatorModel(rate_coeffs=(0.4, 0.02, 0.001)),
+    "force_and_command_deriv": ActuatorModel(rate_coeffs=(0.3,),
+                                             force_deriv_coeffs=(0.05,),
+                                             command_deriv_coeffs=(0.01,)),
+}
+# distinct closed-loop roots: a repeated root moves by ~sqrt(eps) under
+# rounding in either method, which no 1e-9 comparison survives
+ORACLE_GAINS = {
+    "pd": pd_gains(9.0, 7.0, no_load_mass=0.05),
+    "one_state": integral_gains(9.0, 7.0, 2.0, no_load_mass=0.05),
+}
+ORACLE_MASSES = np.concatenate([
+    [0.05], np.random.default_rng(5).uniform(0.05, 50.0, 8), [np.inf]])
+
+
+def _matched_error(poles, reference):
+    """Largest relative distance after pairing each pole with one
+    reference pole (a sorted comparison can misalign conjugate pairs)."""
+    cost = np.abs(poles[:, None] - reference[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.max(cost[rows, cols] / np.abs(reference[cols])))
+
+
+@pytest.mark.parametrize("gains_name", sorted(ORACLE_GAINS))
+@pytest.mark.parametrize("model_name", sorted(ORACLE_MODELS))
+def test_closed_loop_poles_match_state_matrix(model_name, gains_name):
+    gains = ORACLE_GAINS[gains_name]
+    model = ORACLE_MODELS[model_name]
+    batch = closed_loop_poles(gains, model, ORACLE_MASSES)
+    for mass, poles in zip(ORACLE_MASSES, batch):
+        reference = closed_loop_matrix_poles(gains, model, mass)
+        assert poles.size == reference.size, mass
+        assert _matched_error(poles, reference) <= 1e-9, mass
+
+
+def test_batched_poles_equal_scalar_calls():
+    # the k_higher top coefficient 0.001/m falls below the 1e-12 trim at
+    # m = 1e13 and is absent at m = inf: the degree drops from 4 to 3
+    model = ORACLE_MODELS["k_higher"]
+    gains = ORACLE_GAINS["one_state"]
+    masses = np.array([0.05, 0.3, 7.0, 1e13, np.inf, 2.0])
+    batch = closed_loop_poles(gains, model, masses)
+    assert isinstance(batch, list) and len(batch) == masses.size
+    assert [p.size for p in batch] == [4, 4, 4, 3, 3, 4]
+    for mass, poles in zip(masses, batch):
+        scalar = closed_loop_poles(gains, model, mass)
+        assert poles.dtype == scalar.dtype
+        assert np.array_equal(poles, scalar)
+
+
+@pytest.mark.parametrize("gains_name", sorted(ORACLE_GAINS))
+def test_poles_mass_independent_without_rate_terms(gains_name):
+    # no value-rate terms: chi_rate vanishes, so every load gives the very
+    # same polynomial and the very same poles (no gain scheduling needed)
+    model = ActuatorModel(rate_coeffs=(0.0, 0.0),
+                          force_deriv_coeffs=(0.05,),
+                          command_deriv_coeffs=(0.01,))
+    batch = closed_loop_poles(ORACLE_GAINS[gains_name], model,
+                              ORACLE_MASSES)
+    for poles in batch[1:]:
+        assert np.array_equal(poles, batch[0])
+
+
+NAN_MASS_CALLS = {
+    "closed_loop_poles": lambda: closed_loop_poles(
+        pd_gains(9.0, 6.0, 0.5, 0.05), ActuatorModel.ideal(0.5), np.nan),
+    "closed_loop_poles_batch": lambda: closed_loop_poles(
+        pd_gains(9.0, 6.0, 0.5, 0.05), ActuatorModel.ideal(0.5),
+        np.array([0.05, np.nan, np.inf])),
+    "stability_check": lambda: stability_check(
+        pd_gains(9.0, 6.0, 0.5, 0.05), ActuatorModel.ideal(0.5),
+        [0.05, np.nan, np.inf]),
+    "feedforward_step": lambda: feedforward_step(
+        pd_gains(9.0, 6.0, 0.5), np.zeros(0), np.zeros(2),
+        [0.0, 1.0, 0.0], np.nan, 1e-3),
+    "open_loop_command": lambda: open_loop_command(
+        pd_gains(9.0, 6.0, 0.5, 0.05), np.nan, [0.0, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NAN_MASS_CALLS))
+def test_nan_mass_rejected(call):
+    with pytest.raises(ValueError):
+        NAN_MASS_CALLS[call]()

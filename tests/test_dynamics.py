@@ -225,6 +225,34 @@ def test_modal_matches_general_eigensolver(cube8):
     assert np.all(dec.eigenvalues <= bound + 1e-9)
 
 
+@pytest.mark.parametrize("actuator_mass", [0.05, 0.0])
+def test_modal_split_matches_mass_and_gram_reference(actuator_mass):
+    # the modal split evaluates the jacobian once; composed here from
+    # mass_matrix and gram_matrix it must give the very same bits
+    from paractl.kinematics import gram_matrix
+    model = cube8_model(actuator_mass=actuator_mass)
+    for pose in random_rigid_poses(np.random.default_rng(21), 12):
+        dec = modal_decomposition(model, pose)
+        m = mass_matrix(model, pose)
+        gram = gram_matrix(model.geometry, pose)
+        vals, vecs = np.linalg.eigh(m)
+        root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+        inv_root = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
+        sym = inv_root @ gram @ inv_root
+        eigs, sym_vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+        order = np.argsort(eigs)[::-1]
+        eigs, sym_vecs = eigs[order], sym_vecs[:, order]
+        flip = sym_vecs[np.argmax(np.abs(sym_vecs), axis=0),
+                        np.arange(sym_vecs.shape[1])] < 0.0
+        sym_vecs[:, flip] = -sym_vecs[:, flip]
+        masses = np.where(eigs > 1e-12, 1.0 / np.where(eigs > 1e-12,
+                                                       eigs, 1.0), np.inf)
+        assert np.array_equal(dec.eigenvalues, eigs)
+        assert np.array_equal(dec.modal_masses, masses)
+        assert np.array_equal(dec.modes, inv_root @ sym_vecs)
+        assert np.array_equal(dec.duals, root @ sym_vecs)
+
+
 def test_reflected_inertia_never_exceeds_total(planar3_model):
     rng = np.random.default_rng(9)
     geom = planar3_model.geometry
