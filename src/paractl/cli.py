@@ -162,7 +162,7 @@ def _cmd_tune_check(args) -> int:
     cfg = load_config(args.config)
     m0 = cfg.gains.no_load_mass
     base = m0 if m0 > 0.0 else 1.0
-    masses = [m0, 2 * base, 10 * base, np.inf]
+    masses = [base, 2 * base, 10 * base, np.inf]
     report = stability_check(cfg.gains, cfg.model.actuator, masses)
     for mass, worst in zip(report.masses, report.max_real_parts):
         label = "inf" if np.isinf(mass) else f"{mass:.6g}"

@@ -5,31 +5,33 @@ The equations of motion used everywhere are
     wrench = M(pose) @ accel + bias(pose, twist)
 
 with M the body mass/inertia plus the reflected actuator inertia
-m0 * J^T J.  The bias term is derived from the Lagrangian in a local
-exponential chart at the current pose, so velocity-product terms from the
-pose dependence of M (including rigid-body gyroscopic forces) and the
-potential gradient come out of one mechanism.
+m0 * J^T J, and bias the velocity bias plus the potential gradient.
 
-That mechanism needs the chart derivatives dM/dtheta_k ("slabs").  Rigid
-poses get them in closed form (`rigid_pose_tables`), pinned against
-`_chart_mass_rigid` differenced axis by axis by the rigid-table tests in
-tests/test_dynamics.py and exercised through the plant by
-`test_energy_conserved_rigid_plant`.  Flat poses keep central differences
-(`point_mass_tables`), because tests/data/golden_planar3.csv pins the
-planar closed loop byte for byte; `test_point_mass_tables_match_generic_path`
-pins the batched form to the generic one.
+Every actuator spends m0 * (J accel + c)_i on its own inertia, where c_i
+is the second time derivative of actuator value i along the motion (the
+cable curvature, `kinematics.jacobian_directional_derivative`).  So on
+rigid poses the velocity bias is the Newton-Euler gyroscopic torque plus
+m0 J^T c (`rigid_pose_tables`), pinned against the Lagrangian of the chart
+mass `_chart_mass_rigid` by the rigid-table tests in tests/test_dynamics.py
+and exercised through the plant by `test_energy_conserved_rigid_plant`;
+the no-load forces use the same c.  Flat poses take the velocity bias from
+central differences of the mass in the local chart (`point_mass_tables`),
+because tests/data/golden_planar3.csv pins the planar closed loop byte for
+byte.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .actuator import ActuatorModel
 from .errors import DegenerateGeometry, SingularMass
 from .kinematics import (FD_STEP, EuclideanPose, Pose, RigidPose,
-                         RobotGeometry, _rigid_cable_vectors, gram_matrix,
-                         jacobian, jacobian_directional_derivative, retract,
+                         RobotGeometry, _curvature, _hat, _rigid_cable_vectors,
+                         _rigid_rows, gram_matrix, jacobian,
+                         jacobian_directional_derivative, retract,
                          so3_left_jacobian)
 
 
@@ -154,169 +156,133 @@ def _chart_mass_rigid(model: RobotModel, pose: Pose,
     return big.T @ m @ big
 
 
-# hat(e_k) for the three world axes: the generator of a world rotation
-# about e_k, acting on vectors as e_k x v
-_AXIS_HATS = np.array([
-    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-])
-_HAT_OF = _AXIS_HATS.reshape(3, 9)   # v @ _HAT_OF -> hat(v), flattened
+def rigid_pose_tables(model: RobotModel, pose: RigidPose,
+                      twist: np.ndarray):
+    """Jacobian rows, mass matrix and velocity bias at a rigid pose, in
+    closed form from one cable evaluation.
 
+    The velocity bias is the Newton-Euler gyroscopic torque plus the
+    reflected actuator inertia's share,
 
-def rigid_pose_tables(model: RobotModel, pose: RigidPose):
-    """Jacobian rows, mass matrix and mass chart derivatives at a rigid
-    pose, in closed form from one cable evaluation.
+        [0; w x (Iw w)] + m0 J^T c,    Iw = R I R^T,
 
-    The chart mass is B^T M(retract(pose, theta)) B with
-    B = blockdiag(I, J_l(theta_rot)), and slab k is its derivative along
-    chart axis k at theta = 0.  Every term has the form Y_k + Y_k^T:
-      - actuator term, Y_k = m0 J^T dJ_k: a translation along e_k moves
-        each cable vector d = p + r - a by e_k; a world rotation about
-        e_k moves r and d by e_k x r.  With u = d/|d| that gives
-        du = (I - u u^T) dd / |d| and d(r x u) = dr x u + r x du;
-      - body term (rotations), hat(e_k) Iw - Iw hat(e_k) with
-        Iw = R I R^T, i.e. Y_k = -Iw hat(e_k) on the rotation block;
-      - chart-rate term (rotations), M dB_k + dB_k^T M with
-        dB_k = blockdiag(0, hat(e_k) / 2), the first-order part of J_l.
-    Nothing is differenced.  Tests pin the slabs against `_chart_mass_rigid`
-    differenced axis by axis, and the rigid plant's energy conservation.
+    with c the cable curvature (`kinematics._curvature`): each actuator
+    spends m0 (J accel + c)_i on its own inertia, so the body feels
+    m0 J^T (J accel + c).  Tests pin the bias against the chart mass
+    (`_chart_mass_rigid`) differenced axis by axis and the Euler-Lagrange
+    oracle, and the rigid plant's energy conservation.
     """
     inert = model.inertial
     if inert.inertia is None:
         raise ValueError("rigid body needs an inertia tensor")
     rot, diffs, lengths, offsets = _rigid_cable_vectors(model.geometry, pose)
-    n = lengths.size
     units = diffs / lengths[:, None]
-    hats = (np.concatenate([offsets, units]) @ _HAT_OF).reshape(2, n, 3, 3)
-    # lever[i] = [I; hat(r_i)] maps a cable direction to its jacobian row
-    lever = np.empty((n, 6, 3))
-    lever[:, :3] = np.eye(3)
-    lever[:, 3:] = hats[0]
-    rows = (lever @ units[:, :, None])[:, :, 0]
+    rows = _rigid_rows(units, offsets)
     world_inertia = rot @ inert.inertia @ rot.T
     mass = np.zeros((6, 6))
     mass[:3, :3] = inert.body_mass * np.eye(3)
     mass[3:, 3:] = world_inertia
+    omega = twist[3:]
+    bias = np.zeros(6)
+    bias[3:] = _hat(omega) @ (world_inertia @ omega)
     m0 = inert.actuator_mass
     if m0 != 0.0:
         mass += m0 * (rows.T @ rows)
-        # per-cable row derivatives, drows[i, :, k] = d(row i)/d(theta_k):
-        # lever (I - u u^T) lever^T / |d|, which is (lever lever^T -
-        # row row^T) / |d| as lever u = row, plus hat(u) hat(r) on the
-        # rotation block from dr x u
-        drows = lever @ lever.transpose(0, 2, 1)
-        drows -= rows[:, :, None] * rows[:, None, :]
-        drows /= lengths[:, None, None]
-        drows[:, 3:, 3:] += hats[1] @ hats[0]
-        half = m0 * (rows.T @ drows.transpose(2, 0, 1))
-    else:
-        half = np.zeros((6, 6, 6))
-    arm = 0.5 * mass[:, 3:]
-    arm[3:] -= world_inertia
-    half[3:, :, 3:] += arm @ _AXIS_HATS
-    return rows, mass, half + half.transpose(0, 2, 1)
-
-
-def _mass_derivatives(model: RobotModel, pose: Pose,
-                      step: float) -> np.ndarray:
-    """d(chart mass)/d(theta_k) at the chart origin, one slab per k."""
-    if isinstance(pose, EuclideanPose):
-        return point_mass_tables(model, pose.coords, step)[2]
-    return rigid_pose_tables(model, pose)[2]
+        bias += m0 * (rows.T @ _curvature(units, lengths, offsets, twist))
+    return rows, mass, bias
 
 
 def _velocity_bias(slabs: np.ndarray, twist: np.ndarray) -> np.ndarray:
+    """Velocity bias from the chart mass derivatives dM/dtheta_k (slabs)."""
     mdot = np.einsum("kij,k->ij", slabs, twist)
     quad = 0.5 * np.einsum("i,kij,j->k", twist, slabs, twist)
     return mdot @ twist - quad
 
 
 def _acceleration(model: RobotModel, pose: Pose, mass: np.ndarray,
-                  slabs: np.ndarray, twist: np.ndarray,
+                  bias: np.ndarray, twist: np.ndarray,
                   wrench: np.ndarray) -> np.ndarray:
     """M^{-1} (wrench - dV/dtheta - velocity bias) from the tables at
     `pose`; SingularMass when M is singular."""
     rhs = wrench - _potential_gradient(model, pose)
     if np.any(twist):
-        rhs = rhs - _velocity_bias(slabs, twist)
+        rhs = rhs - bias
     try:
         return np.linalg.solve(mass, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMass("mass matrix is singular") from exc
 
 
-_OFFSET_CACHE: dict = {}
-
-
-def _fd_offsets(d: int, step: float) -> np.ndarray:
-    key = (d, step)
-    hit = _OFFSET_CACHE.get(key)
-    if hit is None:
-        hit = np.zeros((2 * d + 1, d))
-        for k in range(d):
-            hit[2 * k + 1, k] = step
-            hit[2 * k + 2, k] = -step
-        _OFFSET_CACHE[key] = hit
+@lru_cache(maxsize=None)
+def _fd_offsets(d: int) -> np.ndarray:
+    """The origin, then +-FD_STEP along each of the d axes, (2d+1, d)."""
+    hit = np.zeros((2 * d + 1, d))
+    for k in range(d):
+        hit[2 * k + 1, k] = FD_STEP
+        hit[2 * k + 2, k] = -FD_STEP
     return hit
 
 
 def point_mass_tables(model: RobotModel, coords: np.ndarray,
-                      step: float = FD_STEP):
-    """Jacobian rows, mass matrix and mass chart derivatives at a flat
-    pose, all from one vectorized cable evaluation.
+                      twist: np.ndarray):
+    """Jacobian rows, mass matrix and velocity bias at a flat pose, all
+    from one vectorized cable evaluation.
 
-    This is the simulation hot path; it must stay numerically identical to
-    composing `jacobian`, `mass_matrix` and the finite differences used by
-    `bias_force` (a test pins that equivalence).
+    The bias comes from the mass chart derivatives taken by central
+    differences (`_velocity_bias`), not from the cable curvature: the
+    golden planar trace pins these bits.  A test pins the rows and mass
+    to `jacobian` and `mass_matrix`, and the bias to one built from
+    `mass_matrix` differences.
     """
     geom = model.geometry
     d = coords.size
     m0 = model.inertial.actuator_mass
     body = model.inertial.body_mass * np.eye(d)
-    positions = coords + _fd_offsets(d, step)           # (2d+1, d)
+    positions = coords + _fd_offsets(d)
     diffs = positions[:, None, :] - geom.anchors[None, :, :]
     lengths2 = np.einsum("mki,mki->mk", diffs, diffs)
     if np.any(lengths2 < 1e-24):
         raise DegenerateGeometry("zero actuator length")
     rows = diffs / np.sqrt(lengths2)[:, :, None]
     if m0 == 0.0:
-        return rows[0], body, np.zeros((d, d, d))
+        return rows[0], body, np.zeros(d)
     grams = np.einsum("mki,mkj->mij", rows, rows)
     mass = body + m0 * grams[0]
-    slabs = m0 * (grams[1::2] - grams[2::2]) / (2.0 * step)
-    return rows[0], mass, slabs
+    slabs = m0 * (grams[1::2] - grams[2::2]) / (2.0 * FD_STEP)
+    return rows[0], mass, _velocity_bias(slabs, twist)
 
 
-def bias_force(model: RobotModel, pose: Pose, twist: np.ndarray,
-               step: float = FD_STEP) -> np.ndarray:
+def _tables(model: RobotModel, pose: Pose, twist: np.ndarray):
+    if isinstance(pose, EuclideanPose):
+        return point_mass_tables(model, pose.coords, twist)
+    return rigid_pose_tables(model, pose, twist)
+
+
+def bias_force(model: RobotModel, pose: Pose,
+               twist: np.ndarray) -> np.ndarray:
     """Velocity-product and potential terms of the equations of motion.
 
-    Expanding d/dt(M twist) minus the chart gradient of the Lagrangian:
-
-        bias = (sum_k dM/dtheta_k twist_k) twist
-               - 1/2 [twist^T dM/dtheta_k twist]_k
-               + dV/dtheta
-
-    with the mass derivatives taken in the local chart: in closed form on
-    rigid poses (`rigid_pose_tables`), by central differences of step
-    `step` on flat ones (`point_mass_tables`; `step` has no effect on
-    rigid poses).  Holding the force at `bias` keeps a resting pose still, and
-    M @ accel + bias reproduces the Lagrangian dynamics for moving ones.
+    Expanding d/dt(M twist) minus the chart gradient of the Lagrangian
+    gives the velocity bias plus dV/dtheta.  On rigid poses the velocity
+    bias is the gyroscopic torque plus m0 J^T c with c the cable
+    curvature (`rigid_pose_tables`); on flat ones it comes from central
+    differences of the mass (`point_mass_tables`).  Holding the force at
+    `bias` keeps a resting pose still, and M @ accel + bias reproduces the
+    Lagrangian dynamics for moving ones.
     """
     twist = np.asarray(twist, float)
     grad_v = _potential_gradient(model, pose)
     if not np.any(twist):
         return grad_v
-    slabs = _mass_derivatives(model, pose, step)
-    return _velocity_bias(slabs, twist) + grad_v
+    return _tables(model, pose, twist)[2] + grad_v
 
 
 def no_load_forces(model: RobotModel, pose: Pose, twist: np.ndarray,
                    accel: np.ndarray, jac: np.ndarray | None = None
                    ) -> np.ndarray:
     """Actuator forces if the actuators ran detached, matching the same
-    value motion: m0 * (J accel + curvature term)."""
+    value motion: m0 * (J accel + c), with c the closed-form cable
+    curvature (`jacobian_directional_derivative`)."""
     m0 = model.inertial.actuator_mass
     if m0 == 0.0:
         return np.zeros(model.actuator_count)
@@ -338,11 +304,9 @@ def cable_tensions(no_load: np.ndarray, applied: np.ndarray) -> np.ndarray:
 def forward_dynamics(model: RobotModel, pose: Pose, twist: np.ndarray,
                      wrench: np.ndarray) -> np.ndarray:
     """Acceleration produced by a wrench: M^{-1} (wrench - bias)."""
-    if isinstance(pose, EuclideanPose):
-        _, m, slabs = point_mass_tables(model, pose.coords)
-    else:
-        _, m, slabs = rigid_pose_tables(model, pose)
-    return _acceleration(model, pose, m, slabs, np.asarray(twist, float),
+    twist = np.asarray(twist, float)
+    _, m, bias = _tables(model, pose, twist)
+    return _acceleration(model, pose, m, bias, twist,
                          np.asarray(wrench, float))
 
 

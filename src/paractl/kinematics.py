@@ -268,6 +268,22 @@ def inverse_kinematics(geom: RobotGeometry, pose: Pose) -> np.ndarray:
     return lengths
 
 
+# hat(e_k) for the three world axes: one einsum against it forms many cross
+# products, bit for bit as np.cross does, at a fraction of its call cost
+_AXIS_HATS = np.array([
+    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+])
+
+
+def _rigid_rows(units: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Rigid jacobian rows [u, r x u] from unit cable directions u and
+    world attachment offsets r."""
+    return np.hstack([units,
+                      np.einsum("nk,kij,nj->ni", offsets, _AXIS_HATS, units)])
+
+
 def jacobian(geom: RobotGeometry, pose: Pose) -> np.ndarray:
     """Derivative of the actuator values with respect to the pose.
 
@@ -279,7 +295,7 @@ def jacobian(geom: RobotGeometry, pose: Pose) -> np.ndarray:
     units = diffs / lengths[:, None]
     if not geom.is_rigid:
         return units
-    return np.hstack([units, np.cross(offsets, units)])
+    return _rigid_rows(units, offsets)
 
 
 def actuator_rates(geom: RobotGeometry, pose: Pose,
@@ -288,25 +304,35 @@ def actuator_rates(geom: RobotGeometry, pose: Pose,
     return jacobian(geom, pose) @ np.asarray(twist, dtype=float)
 
 
-def jacobian_directional_derivative(geom: RobotGeometry, pose: Pose,
-                                    twist: np.ndarray,
-                                    step: float = FD_STEP) -> np.ndarray:
-    """Curvature term: the twist contracted twice with the jacobian
-    derivative.
+def _curvature(units: np.ndarray, lengths: np.ndarray, offsets, twist):
+    """Second time derivative of each actuator value along the flow of a
+    constant `twist`, from the unit cable directions u, the lengths L and
+    the world attachment offsets r (None on a point mass).
 
-    Computed by central differences of the jacobian along the flow of the
-    twist, with a fixed geometric step, then applied to the twist.  This is
-    the second piece of the no-load actuator force (the first being the
-    jacobian applied to the acceleration).
+    Attachment i moves at p' = v + w x r_i and accelerates at
+    p'' = w x (w x r_i) (p' = twist and p'' = 0 on a point mass), so
+    L_i'' = (|p'|^2 - (u_i . p')^2) / L_i + u_i . p''.
     """
-    twist = np.asarray(twist, dtype=float)
-    speed = np.linalg.norm(twist)
-    if speed == 0.0:
-        return np.zeros(geom.actuator_count)
-    s = step / speed
-    jac_fwd = jacobian(geom, retract(pose, s * twist))
-    jac_back = jacobian(geom, retract(pose, -s * twist))
-    return ((jac_fwd - jac_back) / (2.0 * s)) @ twist
+    if offsets is None:
+        rates = units @ twist
+        return (twist @ twist - rates * rates) / lengths
+    spin = _hat(twist[3:]).T
+    turn = offsets @ spin
+    speeds = turn + twist[:3]
+    rates = np.einsum("ij,ij->i", units, speeds)
+    return ((np.einsum("ij,ij->i", speeds, speeds) - rates * rates) / lengths
+            + np.einsum("ij,ij->i", units, turn @ spin))
+
+
+def jacobian_directional_derivative(geom: RobotGeometry, pose: Pose,
+                                    twist: np.ndarray) -> np.ndarray:
+    """Curvature term: the twist contracted twice with the jacobian
+    derivative, i.e. the second time derivative of the actuator values
+    along the flow of a constant twist, in closed form (`_curvature`).
+    It is the no-load actuator force's second piece, after J accel."""
+    diffs, lengths, offsets = _cable_vectors(geom, pose)
+    return _curvature(diffs / lengths[:, None], lengths, offsets,
+                      np.asarray(twist, dtype=float))
 
 
 def gram_matrix(geom: RobotGeometry, pose: Pose) -> np.ndarray:

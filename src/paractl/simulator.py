@@ -146,13 +146,13 @@ def _derivative(model: RobotModel, y: np.ndarray, forces_cmd: np.ndarray,
     if model.geometry.is_rigid:
         pose = RigidPose(y[:3], quat_normalize(y[3:7]))
         twist, states = y[7:13], y[13:]
-        rows, mass, slabs = rigid_pose_tables(model, pose)
+        rows, mass, bias = rigid_pose_tables(model, pose, twist)
         spin = np.concatenate([[0.0], twist[3:]])
         head = [twist[:3], 0.5 * quat_multiply(spin, pose.quaternion)]
     else:
         d = model.manifold_dim
         pose, twist, states = EuclideanPose(y[:d]), y[d:2 * d], y[2 * d:]
-        rows, mass, slabs = point_mass_tables(model, pose.coords)
+        rows, mass, bias = point_mass_tables(model, pose.coords, twist)
         head = [twist]
     supplied, tail = forces_cmd, []
     if filt is not None:
@@ -168,7 +168,7 @@ def _derivative(model: RobotModel, y: np.ndarray, forces_cmd: np.ndarray,
     wrench = rows.T @ supplied
     if extra_wrench is not None:
         wrench = wrench + extra_wrench
-    accel = _acceleration(model, pose, mass, slabs, twist, wrench)
+    accel = _acceleration(model, pose, mass, bias, twist, wrench)
     return np.concatenate([*head, accel, *tail])
 
 

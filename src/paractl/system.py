@@ -29,9 +29,8 @@ import numpy as np
 
 from .actuator import (ActuatorModel, ControllerGains, closed_loop_poles,
                        discretize)
-from .dynamics import (RobotModel, _potential_gradient, _velocity_bias,
-                       modal_decomposition, no_load_forces, point_mass_tables,
-                       rigid_pose_tables)
+from .dynamics import (RobotModel, _potential_gradient, modal_decomposition,
+                       no_load_forces, point_mass_tables, rigid_pose_tables)
 from .errors import ParactlError
 from .force_distribution import (ForceConstraints, active_pattern, distribute)
 from .kinematics import (EuclideanPose, Pose, forward_kinematics, jacobian,
@@ -200,21 +199,22 @@ def control_step(model: RobotModel, gains: ControllerGains,
             if gains.state_dim else state.xi
 
         eval_pose = ref.pose if evaluate_at_reference else pose
+        # the measured twist is needed before the tables can form the bias
+        twist = ref.velocity if evaluate_at_reference else _estimate_twist(
+            jacobian(geom, pose), state.length_history, lengths, dt)
         # one batched cable evaluation covers jacobian, mass and bias terms
         if isinstance(eval_pose, EuclideanPose):
-            jac, mass, slabs = point_mass_tables(model, eval_pose.coords)
+            jac, mass, bias = point_mass_tables(model, eval_pose.coords, twist)
         else:
-            jac, mass, slabs = rigid_pose_tables(model, eval_pose)
-        if evaluate_at_reference:
-            twist = ref.velocity
-        else:
-            twist = _estimate_twist(jac, state.length_history, lengths, dt)
+            jac, mass, bias = rigid_pose_tables(model, eval_pose, twist)
         wrench_cmd = mass @ accel_cmd + _potential_gradient(model, eval_pose)
         if np.any(twist):
-            wrench_cmd += _velocity_bias(slabs, twist)
-        ref_rates = jac @ ref.velocity if evaluate_at_reference \
-            else jacobian(geom, ref.pose) @ ref.velocity
-        command_offset = gains.back_emf * ref_rates
+            wrench_cmd += bias
+        command_offset = np.zeros(jac.shape[0])
+        if gains.back_emf:
+            ref_jac = jac if evaluate_at_reference else jacobian(geom,
+                                                                 ref.pose)
+            command_offset = gains.back_emf * (ref_jac @ ref.velocity)
         no_load = no_load_forces(model, eval_pose, twist, accel_cmd, jac=jac)
         diag = ControlDiagnostics(pose=pose, pose_error=error,
                                   accel_cmd=accel_cmd, wrench_cmd=wrench_cmd,

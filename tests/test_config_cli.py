@@ -154,6 +154,18 @@ def test_cli_tune_check(capsys):
     assert "inf" in out
 
 
+def test_cli_tune_check_zero_no_load_mass(tmp_path, capsys):
+    # m0 = 0 has no passive-load mass to sweep from; the sweep starts at 1
+    data = planar3_dict()
+    data["actuator_params"]["m0"] = 0.0
+    path = tmp_path / "m0_zero.json"
+    path.write_text(json.dumps(data))
+    code = run_command(["tune-check", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert "stability check: " in out
+
+
 def test_cli_simulate_and_trace(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = run_command(["simulate", "--config", PLANAR3,

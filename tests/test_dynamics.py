@@ -10,7 +10,7 @@ from paractl import (DegenerateGeometry, EuclideanPose, InertialParams,
                      RigidPose, RobotGeometry, RobotModel, bias_force,
                      cable_tensions, forward_dynamics, jacobian, mass_matrix,
                      modal_decomposition, no_load_forces, total_energy)
-from paractl.dynamics import point_mass_tables, _mass_derivatives
+from paractl.dynamics import point_mass_tables
 from paractl.kinematics import quat_normalize
 from paractl.simulator import PlantState, step_plant
 
@@ -126,6 +126,29 @@ def test_no_load_forces_planar3_acceleration(planar3_model):
     out = no_load_forces(planar3_model, planar3_pose(), np.zeros(2),
                          [1.0, 0.0])
     np.testing.assert_allclose(out, [0.0894427, -0.0894427, 0.0], atol=1e-7)
+
+
+def test_no_load_forces_match_second_difference_cube8():
+    # detached actuators spend m0 times the second derivative of their
+    # values along retract(pose, t twist + t^2 accel / 2)
+    from paractl import inverse_kinematics, retract
+    model = cube8_model()
+    geom = model.geometry
+    m0 = model.inertial.actuator_mass
+    rng = np.random.default_rng(42)
+    h = 1e-4
+    for pose in random_rigid_poses(rng, 50):
+        twist = rng.uniform(-1.0, 1.0, 6)
+        accel = rng.uniform(-1.0, 1.0, 6)
+
+        def values(t):
+            return inverse_kinematics(
+                geom, retract(pose, t * twist + 0.5 * t * t * accel))
+
+        expected = m0 * (values(h) - 2 * values(0.0) + values(-h)) / h**2
+        out = no_load_forces(model, pose, twist, accel)
+        assert np.linalg.norm(out - expected) \
+            <= 1e-6 * np.linalg.norm(expected)
 
 
 def test_cable_tensions():
@@ -266,41 +289,57 @@ def test_reflected_inertia_never_exceeds_total(planar3_model):
 def test_point_mass_tables_match_generic_path():
     model = spring_planar_model()
     rng = np.random.default_rng(33)
+    h = 1e-6
     for pose in random_planar_poses(rng, 15):
-        rows, mass, slabs = point_mass_tables(model, pose.coords)
+        twist = rng.uniform(-1.5, 1.5, 2)
+        rows, mass, bias = point_mass_tables(model, pose.coords, twist)
         np.testing.assert_allclose(rows, jacobian(model.geometry, pose),
                                    atol=1e-14)
         np.testing.assert_allclose(mass, mass_matrix(model, pose),
                                    atol=1e-14)
-        np.testing.assert_allclose(slabs, _mass_derivatives(model, pose,
-                                                            1e-6),
-                                   atol=1e-14)
+        # velocity bias of the Lagrangian, (dM/dt) twist - 1/2 d(twist^T M
+        # twist)/dx, from central differences of mass_matrix
+        slabs = []
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            slabs.append((mass_matrix(model, EuclideanPose(pose.coords + e))
+                          - mass_matrix(model, EuclideanPose(pose.coords - e)))
+                         / (2 * h))
+        expected = (sum(t * s for t, s in zip(twist, slabs)) @ twist
+                    - 0.5 * np.array([twist @ s @ twist for s in slabs]))
+        np.testing.assert_allclose(bias, expected, rtol=0, atol=1e-9)
 
 
-def _assert_rigid_tables_match_chart_differences(model, poses):
-    from paractl.dynamics import _chart_mass_rigid, rigid_pose_tables
+def _assert_rigid_tables_match_chart_differences(model, poses, rng):
+    from paractl.dynamics import (_chart_mass_rigid, _velocity_bias,
+                                  rigid_pose_tables)
     for pose in poses:
-        rows, mass, slabs = rigid_pose_tables(model, pose)
+        twist = rng.uniform(-1.0, 1.0, 6)
+        rows, mass, bias = rigid_pose_tables(model, pose, twist)
         np.testing.assert_allclose(rows, jacobian(model.geometry, pose),
                                    atol=1e-14)
         np.testing.assert_allclose(mass, mass_matrix(model, pose),
                                    atol=1e-14)
         h = 1e-6
+        slabs = np.empty((6, 6, 6))
         for k in range(6):
             e = np.zeros(6)
             e[k] = h
-            ref = (_chart_mass_rigid(model, pose, e)
-                   - _chart_mass_rigid(model, pose, -e)) / (2 * h)
-            # the reference differences O(1) numbers over 2e-6, so the
-            # closed form can only agree to its rounding noise
-            np.testing.assert_allclose(slabs[k], ref, atol=5e-9)
+            slabs[k] = (_chart_mass_rigid(model, pose, e)
+                        - _chart_mass_rigid(model, pose, -e)) / (2 * h)
+        # the reference slabs difference O(1) numbers over 2e-6, so they
+        # hold only to rounding noise of ~5e-9, which the bias carries
+        # scaled by |twist|^2
+        np.testing.assert_allclose(bias, _velocity_bias(slabs, twist),
+                                   rtol=0, atol=5e-9 * (twist @ twist))
 
 
 def test_rigid_tables_match_per_offset_chart_masses():
     model = cube8_model(actuator_mass=0.08)
     rng = np.random.default_rng(34)
     _assert_rigid_tables_match_chart_differences(
-        model, random_rigid_poses(rng, 5))
+        model, random_rigid_poses(rng, 5), rng)
 
 
 def test_rigid_tables_body_only():
@@ -308,7 +347,7 @@ def test_rigid_tables_body_only():
     model = cube8_model(actuator_mass=0.0)
     rng = np.random.default_rng(35)
     _assert_rigid_tables_match_chart_differences(
-        model, random_rigid_poses(rng, 5))
+        model, random_rigid_poses(rng, 5), rng)
 
 
 def test_rigid_tables_non_diagonal_inertia():
@@ -322,7 +361,7 @@ def test_rigid_tables_non_diagonal_inertia():
                                             actuator_mass=0.08))
     rng = np.random.default_rng(36)
     _assert_rigid_tables_match_chart_differences(
-        model, random_rigid_poses(rng, 5))
+        model, random_rigid_poses(rng, 5), rng)
 
 
 def test_rigid_tables_reject_zero_length_actuator():
@@ -332,7 +371,7 @@ def test_rigid_tables_reject_zero_length_actuator():
     # body placed so attachment 3 sits exactly on its anchor
     pose = RigidPose.identity(geom.anchors[3] - geom.attachments[3])
     with pytest.raises(DegenerateGeometry):
-        rigid_pose_tables(model, pose)
+        rigid_pose_tables(model, pose, np.zeros(6))
 
 
 def test_energy_conserved_without_forcing(planar3_geom):

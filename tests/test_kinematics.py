@@ -81,6 +81,18 @@ def test_jacobian_matches_finite_differences_rigid():
         assert np.max(np.abs(jac - ref)) <= 1e-6 * max(1.0, np.abs(jac).max())
 
 
+def test_rigid_rows_match_np_cross_exactly():
+    # the einsum cross product must give np.cross's bits, so rigid traces
+    # do not move with the row builder
+    from paractl.kinematics import _rigid_rows
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        offsets, units = rng.normal(size=(2, 8, 3))
+        np.testing.assert_array_equal(
+            _rigid_rows(units, offsets),
+            np.hstack([units, np.cross(offsets, units)]))
+
+
 @given(st.floats(0.6, 3.4), st.floats(0.3, 2.4))
 def test_jacobian_rows_unit_norm_point_mass(x, y):
     geom = RobotGeometry.point_mass(np.array([[0.0, 0.0], [4.0, 0.0],
@@ -292,6 +304,25 @@ def test_directional_derivative_matches_second_difference(planar3_geom):
         / h**2
     curve = jacobian_directional_derivative(planar3_geom, pose, twist)
     assert np.max(np.abs(curve - second)) <= 1e-4
+
+
+def test_directional_derivative_matches_second_difference_cube8():
+    # along retract(pose, t * twist) the twist is constant, so the second
+    # time derivative of the values is the curvature alone
+    from conftest import random_rigid_poses
+    geom = cube8_geometry()
+    rng = np.random.default_rng(41)
+    h = 1e-4
+    for pose in random_rigid_poses(rng, 50):
+        twist = rng.uniform(-1.0, 1.0, 6)
+
+        def values(t):
+            return inverse_kinematics(geom, retract(pose, t * twist))
+
+        second = (values(h) - 2 * values(0.0) + values(-h)) / h**2
+        curve = jacobian_directional_derivative(geom, pose, twist)
+        assert np.linalg.norm(curve - second) \
+            <= 1e-6 * max(1.0, np.linalg.norm(second))
 
 
 def test_manifold_dim():
