@@ -11,13 +11,19 @@ Every actuator spends m0 * (J accel + c)_i on its own inertia, where c_i
 is the second time derivative of actuator value i along the motion (the
 cable curvature, `kinematics.jacobian_directional_derivative`).  So on
 rigid poses the velocity bias is the Newton-Euler gyroscopic torque plus
-m0 J^T c (`rigid_pose_tables`), pinned against the Lagrangian of the chart
-mass `_chart_mass_rigid` by the rigid-table tests in tests/test_dynamics.py
-and exercised through the plant by `test_energy_conserved_rigid_plant`;
-the no-load forces use the same c.  Flat poses take the velocity bias from
-central differences of the mass in the local chart (`point_mass_tables`),
-because tests/data/golden_planar3.csv pins the planar closed loop byte for
-byte.
+m0 J^T c, pinned against the Lagrangian of the chart mass
+`_chart_mass_rigid` by the rigid-table tests in tests/test_dynamics.py and
+exercised through the plant by `test_energy_conserved_rigid_plant`.
+
+`rigid_pose_tables` evaluates the cables once and returns the jacobian
+rows, the mass, the gyroscopic torque and c, rather than the summed bias:
+the plant folds c into the supplied forces as J^T (supplied - m0 c), and
+the controller forms the no-load forces m0 (J accel + c) from the same c.
+It takes the twist as a function of the rows where the twist is estimated
+through them, so a control tick evaluates the cables once.  Flat poses
+take the velocity bias from central differences of the mass in the local
+chart (`point_mass_tables`), because tests/data/golden_planar3.csv pins
+the planar closed loop byte for byte.
 """
 from __future__ import annotations
 
@@ -29,8 +35,8 @@ import numpy as np
 from .actuator import ActuatorModel
 from .errors import DegenerateGeometry, SingularMass
 from .kinematics import (FD_STEP, EuclideanPose, Pose, RigidPose,
-                         RobotGeometry, _curvature, _hat, _rigid_cable_vectors,
-                         _rigid_rows, gram_matrix, jacobian,
+                         RobotGeometry, _hat, _rigid_cable_vectors,
+                         _rigid_curvature, _rigid_rows, gram_matrix, jacobian,
                          jacobian_directional_derivative, retract,
                          so3_left_jacobian)
 
@@ -156,21 +162,25 @@ def _chart_mass_rigid(model: RobotModel, pose: Pose,
     return big.T @ m @ big
 
 
-def rigid_pose_tables(model: RobotModel, pose: RigidPose,
-                      twist: np.ndarray):
-    """Jacobian rows, mass matrix and velocity bias at a rigid pose, in
-    closed form from one cable evaluation.
+def rigid_pose_tables(model: RobotModel, pose: RigidPose, twist):
+    """Jacobian rows, mass matrix, gyroscopic torque and cable curvature at
+    a rigid pose, in closed form from one cable evaluation.
 
     The velocity bias is the Newton-Euler gyroscopic torque plus the
-    reflected actuator inertia's share,
+    reflected actuator inertia's share (`_rigid_bias` sums it),
 
         [0; w x (Iw w)] + m0 J^T c,    Iw = R I R^T,
 
-    with c the cable curvature (`kinematics._curvature`): each actuator
-    spends m0 (J accel + c)_i on its own inertia, so the body feels
-    m0 J^T (J accel + c).  Tests pin the bias against the chart mass
-    (`_chart_mass_rigid`) differenced axis by axis and the Euler-Lagrange
-    oracle, and the rigid plant's energy conservation.
+    with c the cable curvature (`kinematics._rigid_curvature`, None when
+    m0 is zero): each actuator spends m0 (J accel + c)_i on its own
+    inertia, so the body feels m0 J^T (J accel + c).  Tests pin the bias
+    against the chart mass (`_chart_mass_rigid`) differenced axis by axis
+    and the Euler-Lagrange oracle, and the rigid plant's energy
+    conservation.
+
+    `twist` may also be a function that takes the jacobian rows to the
+    twist: the controller estimates its twist from value rates through the
+    rows at the same pose, and this keeps its tick to one cable evaluation.
     """
     inert = model.inertial
     if inert.inertia is None:
@@ -178,18 +188,30 @@ def rigid_pose_tables(model: RobotModel, pose: RigidPose,
     rot, diffs, lengths, offsets = _rigid_cable_vectors(model.geometry, pose)
     units = diffs / lengths[:, None]
     rows = _rigid_rows(units, offsets)
+    if callable(twist):
+        twist = twist(rows)
     world_inertia = rot @ inert.inertia @ rot.T
-    mass = np.zeros((6, 6))
-    mass[:3, :3] = inert.body_mass * np.eye(3)
-    mass[3:, 3:] = world_inertia
-    omega = twist[3:]
-    bias = np.zeros(6)
-    bias[3:] = _hat(omega) @ (world_inertia @ omega)
     m0 = inert.actuator_mass
-    if m0 != 0.0:
-        mass += m0 * (rows.T @ rows)
-        bias += m0 * (rows.T @ _curvature(units, lengths, offsets, twist))
-    return rows, mass, bias
+    mass = m0 * (rows.T @ rows) if m0 != 0.0 else np.zeros((6, 6))
+    mass[3:, 3:] += world_inertia
+    mass.flat[:21:7] += inert.body_mass          # the linear diagonal
+    omega = twist[3:]
+    spin_hat = _hat(omega)
+    gyro = spin_hat @ (world_inertia @ omega)
+    if m0 == 0.0:
+        return rows, mass, gyro, None
+    return rows, mass, gyro, _rigid_curvature(units, lengths, offsets,
+                                              twist[:3], spin_hat)
+
+
+def _rigid_bias(model: RobotModel, rows: np.ndarray, gyro: np.ndarray,
+                curve) -> np.ndarray:
+    """Velocity bias [0; w x (Iw w)] + m0 J^T c from `rigid_pose_tables`."""
+    bias = np.zeros(6)
+    bias[3:] = gyro
+    if curve is not None:
+        bias += model.inertial.actuator_mass * (rows.T @ curve)
+    return bias
 
 
 def _velocity_bias(slabs: np.ndarray, twist: np.ndarray) -> np.ndarray:
@@ -199,14 +221,8 @@ def _velocity_bias(slabs: np.ndarray, twist: np.ndarray) -> np.ndarray:
     return mdot @ twist - quad
 
 
-def _acceleration(model: RobotModel, pose: Pose, mass: np.ndarray,
-                  bias: np.ndarray, twist: np.ndarray,
-                  wrench: np.ndarray) -> np.ndarray:
-    """M^{-1} (wrench - dV/dtheta - velocity bias) from the tables at
-    `pose`; SingularMass when M is singular."""
-    rhs = wrench - _potential_gradient(model, pose)
-    if np.any(twist):
-        rhs = rhs - bias
+def _solve_mass(mass: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^{-1} rhs; SingularMass when M is singular."""
     try:
         return np.linalg.solve(mass, rhs)
     except np.linalg.LinAlgError as exc:
@@ -237,25 +253,27 @@ def point_mass_tables(model: RobotModel, coords: np.ndarray,
     geom = model.geometry
     d = coords.size
     m0 = model.inertial.actuator_mass
-    body = model.inertial.body_mass * np.eye(d)
     positions = coords + _fd_offsets(d)
     diffs = positions[:, None, :] - geom.anchors[None, :, :]
     lengths2 = np.einsum("mki,mki->mk", diffs, diffs)
-    if np.any(lengths2 < 1e-24):
+    if lengths2.min() < 1e-24:
         raise DegenerateGeometry("zero actuator length")
     rows = diffs / np.sqrt(lengths2)[:, :, None]
     if m0 == 0.0:
-        return rows[0], body, np.zeros(d)
+        return rows[0], model.inertial.body_mass * np.eye(d), np.zeros(d)
     grams = np.einsum("mki,mkj->mij", rows, rows)
-    mass = body + m0 * grams[0]
+    mass = m0 * grams[0]
+    mass.flat[::d + 1] += model.inertial.body_mass
     slabs = m0 * (grams[1::2] - grams[2::2]) / (2.0 * FD_STEP)
     return rows[0], mass, _velocity_bias(slabs, twist)
 
 
 def _tables(model: RobotModel, pose: Pose, twist: np.ndarray):
+    """Jacobian rows, mass matrix and velocity bias on either manifold."""
     if isinstance(pose, EuclideanPose):
         return point_mass_tables(model, pose.coords, twist)
-    return rigid_pose_tables(model, pose, twist)
+    rows, mass, gyro, curve = rigid_pose_tables(model, pose, twist)
+    return rows, mass, _rigid_bias(model, rows, gyro, curve)
 
 
 def bias_force(model: RobotModel, pose: Pose,
@@ -272,7 +290,7 @@ def bias_force(model: RobotModel, pose: Pose,
     """
     twist = np.asarray(twist, float)
     grad_v = _potential_gradient(model, pose)
-    if not np.any(twist):
+    if not twist.any():
         return grad_v
     return _tables(model, pose, twist)[2] + grad_v
 
@@ -305,9 +323,11 @@ def forward_dynamics(model: RobotModel, pose: Pose, twist: np.ndarray,
                      wrench: np.ndarray) -> np.ndarray:
     """Acceleration produced by a wrench: M^{-1} (wrench - bias)."""
     twist = np.asarray(twist, float)
-    _, m, bias = _tables(model, pose, twist)
-    return _acceleration(model, pose, m, bias, twist,
-                         np.asarray(wrench, float))
+    _, mass, bias = _tables(model, pose, twist)
+    rhs = np.asarray(wrench, float) - _potential_gradient(model, pose)
+    if twist.any():
+        rhs = rhs - bias
+    return _solve_mass(mass, rhs)
 
 
 @dataclass(frozen=True)

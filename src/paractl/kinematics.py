@@ -8,11 +8,13 @@ product.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, NoConvergence, RankDeficient
+from .errors import (DegenerateGeometry, NoConvergence, RankDeficient,
+                     ValidationError)
 
 FD_STEP = 1e-6
 MIN_CABLE_LENGTH = 1e-12
@@ -23,7 +25,7 @@ MIN_CABLE_LENGTH = 1e-12
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q)
+    return q / math.sqrt(q @ q)   # bit for bit np.linalg.norm, cheaper
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,12 +44,17 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion."""
+    """Rotation matrix of a nonzero quaternion, the rotation of q / |q|.
+
+    Scaling by 2 / |q|^2 normalizes without a square root, so callers
+    need not normalize first.
+    """
     w, x, y, z = np.asarray(q, dtype=float).tolist()
+    s = 2.0 / (w * w + x * x + y * y + z * z)
     return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        [1 - s * (y * y + z * z), s * (x * y - w * z), s * (x * z + w * y)],
+        [s * (x * y + w * z), 1 - s * (x * x + z * z), s * (y * z - w * x)],
+        [s * (x * z - w * y), s * (y * z + w * x), 1 - s * (x * x + y * y)],
     ])
 
 
@@ -76,10 +83,11 @@ def rotation_vector_from_quat(q: np.ndarray) -> np.ndarray:
 
 
 def _hat(v: np.ndarray) -> np.ndarray:
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
+        [0.0, -z, y],
+        [z, 0.0, -x],
+        [-y, x, 0.0],
     ])
 
 
@@ -130,7 +138,7 @@ class RigidPose:
 
     @property
     def rotation(self) -> np.ndarray:
-        return quat_to_matrix(quat_normalize(self.quaternion))
+        return quat_to_matrix(self.quaternion)
 
 
 Pose = EuclideanPose | RigidPose
@@ -231,8 +239,9 @@ class RobotGeometry:
 
 
 def _checked_lengths(diffs: np.ndarray) -> np.ndarray:
-    lengths = np.linalg.norm(diffs, axis=1)
-    if np.any(lengths < MIN_CABLE_LENGTH):
+    # bit for bit np.linalg.norm(diffs, axis=1), at a fraction of its cost
+    lengths = np.sqrt(np.add.reduce(diffs * diffs, axis=1))
+    if lengths.min() < MIN_CABLE_LENGTH:
         bad = int(np.argmin(lengths))
         raise DegenerateGeometry(
             f"actuator {bad} has zero length; direction undefined")
@@ -280,8 +289,10 @@ _AXIS_HATS = np.array([
 def _rigid_rows(units: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Rigid jacobian rows [u, r x u] from unit cable directions u and
     world attachment offsets r."""
-    return np.hstack([units,
-                      np.einsum("nk,kij,nj->ni", offsets, _AXIS_HATS, units)])
+    rows = np.empty((units.shape[0], 6))
+    rows[:, :3] = units
+    np.einsum("nk,kij,nj->ni", offsets, _AXIS_HATS, units, out=rows[:, 3:])
+    return rows
 
 
 def jacobian(geom: RobotGeometry, pose: Pose) -> np.ndarray:
@@ -316,9 +327,16 @@ def _curvature(units: np.ndarray, lengths: np.ndarray, offsets, twist):
     if offsets is None:
         rates = units @ twist
         return (twist @ twist - rates * rates) / lengths
-    spin = _hat(twist[3:]).T
+    return _rigid_curvature(units, lengths, offsets, twist[:3],
+                            _hat(twist[3:]))
+
+
+def _rigid_curvature(units, lengths, offsets, linear, spin_hat):
+    """`_curvature` on a rigid body, given hat(w) so that callers which
+    also need it build it once."""
+    spin = spin_hat.T
     turn = offsets @ spin
-    speeds = turn + twist[:3]
+    speeds = turn + linear
     rates = np.einsum("ij,ij->i", units, speeds)
     return ((np.einsum("ij,ij->i", speeds, speeds) - rates * rates) / lengths
             + np.einsum("ij,ij->i", units, turn @ spin))
@@ -352,8 +370,10 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
     residual.
     """
     lengths = np.asarray(lengths, dtype=float)
-    if lengths.size != geom.actuator_count:
-        raise ValueError("length vector does not match actuator count")
+    if lengths.shape != (geom.actuator_count,):
+        raise ValidationError(
+            f"expected {geom.actuator_count} actuator values, got shape "
+            f"{lengths.shape}")
     pose = guess
     damping = 1e-10
     residual = inverse_kinematics(geom, pose) - lengths

@@ -13,17 +13,23 @@ back into one only at step boundaries:
 
 Filter states exist only under a command filter (`_command_filter`) and
 are stored actuator by actuator.  The quaternion is renormalized wherever
-the vector is read.
+the vector is read, once per RK4 stage.  Each stage (`_derivative`)
+writes its rate into one row of a preallocated (4, size) array, and
+evaluates the cables once through the tables.  Without a spring the
+potential gradient is constant, so `step_plant` forms it once per step.
+Inputs are shape-checked once per `step_plant` call, outside the stages.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (RobotModel, _acceleration, modal_decomposition,
-                       point_mass_tables, rigid_pose_tables)
+from .dynamics import (RobotModel, _potential_gradient, _solve_mass,
+                       modal_decomposition, point_mass_tables,
+                       rigid_pose_tables)
 from .errors import NumericBlowup, ValidationError
 from .kinematics import (EuclideanPose, Pose, RigidPose, inverse_kinematics,
                          pose_to_chart, quat_multiply, quat_normalize)
@@ -141,54 +147,93 @@ def _command_filter(act):
 
 
 def _derivative(model: RobotModel, y: np.ndarray, forces_cmd: np.ndarray,
-                filt, extra_wrench) -> np.ndarray:
-    """Time derivative of the packed plant state."""
-    if model.geometry.is_rigid:
-        pose = RigidPose(y[:3], quat_normalize(y[3:7]))
-        twist, states = y[7:13], y[13:]
-        rows, mass, bias = rigid_pose_tables(model, pose, twist)
-        spin = np.concatenate([[0.0], twist[3:]])
-        head = [twist[:3], 0.5 * quat_multiply(spin, pose.quaternion)]
+                filt, extra_wrench, grad, out: np.ndarray) -> None:
+    """Time derivative of the packed plant state, written into `out`.
+
+    `grad` is the potential gradient, or None when a spring makes it
+    depend on the position.  On a rigid body the cable curvature enters
+    as J^T (supplied - m0 c), one matvec for the supplied forces and the
+    actuator share of the velocity bias together.
+    """
+    rigid = model.geometry.is_rigid
+    if rigid:
+        q = y[3:7]
+        q = q / math.sqrt(q @ q)
+        twist = y[7:13]
+        pose = RigidPose(y[:3], q)
+        rows, mass, gyro, curve = rigid_pose_tables(model, pose, twist)
+        out[:3] = twist[:3]
+        out[3:7] = 0.5 * quat_multiply((0.0, *twist[3:].tolist()), q.tolist())
+        d, head = 6, 7
     else:
-        d = model.manifold_dim
-        pose, twist, states = EuclideanPose(y[:d]), y[d:2 * d], y[2 * d:]
-        rows, mass, bias = point_mass_tables(model, pose.coords, twist)
-        head = [twist]
-    supplied, tail = forces_cmd, []
+        d = head = model.manifold_dim
+        twist = y[d:2 * d]
+        rows, mass, bias = point_mass_tables(model, y[:d], twist)
+        out[:d] = twist
+    supplied = forces_cmd
     if filt is not None:
         a, b, c, feed = filt
-        states = states.reshape(-1, b.size)
+        states = y[head + d:].reshape(-1, b.size)
         supplied = states @ c
         if feed:
             supplied = supplied + feed * forces_cmd
-        tail = [(states @ a.T + np.outer(forces_cmd, b)).reshape(-1)]
+        out[head + d:] = (states @ a.T + np.outer(forces_cmd, b)).reshape(-1)
     back_emf = model.actuator.back_emf
     if back_emf:
         supplied = supplied - back_emf * (rows @ twist)
-    wrench = rows.T @ supplied
+    if rigid and curve is not None:
+        supplied = supplied - model.inertial.actuator_mass * curve
+    rhs = rows.T @ supplied
     if extra_wrench is not None:
-        wrench = wrench + extra_wrench
-    accel = _acceleration(model, pose, mass, bias, twist, wrench)
-    return np.concatenate([*head, accel, *tail])
+        rhs += extra_wrench
+    if grad is None:
+        grad = _potential_gradient(model, pose if rigid
+                                   else EuclideanPose(y[:d]))
+    rhs -= grad
+    if rigid:
+        rhs[3:] -= gyro
+    elif twist.any():
+        rhs -= bias
+    out[head:head + d] = _solve_mass(mass, rhs)
+
+
+def _checked_vector(value, size: int, name: str) -> np.ndarray:
+    value = np.asarray(value, float)
+    if value.shape != (size,):
+        raise ValidationError(
+            f"{name} needs shape ({size},), got {value.shape}")
+    return value
 
 
 def step_plant(model: RobotModel, ps: PlantState, forces_cmd: np.ndarray,
                dt: float, extra_wrench: np.ndarray | None = None
                ) -> PlantState:
-    """Advance the plant one RK4 step under constant commanded forces."""
-    forces_cmd = np.asarray(forces_cmd, float)
+    """Advance the plant one RK4 step under constant commanded forces.
+
+    `forces_cmd` needs one value per actuator and `extra_wrench` one per
+    velocity coordinate; anything else raises ValidationError.
+    """
+    n = model.actuator_count
+    forces_cmd = _checked_vector(forces_cmd, n, "forces_cmd")
+    if extra_wrench is not None:
+        extra_wrench = _checked_vector(extra_wrench, model.manifold_dim,
+                                       "extra_wrench")
     filt = _command_filter(model.actuator)
+    # without a spring the potential gradient is constant over the step
+    grad = None if model.inertial.spring_stiffness != 0.0 \
+        else _potential_gradient(model, ps.pose)
 
-    def deriv(y: np.ndarray) -> np.ndarray:
-        return _derivative(model, y, forces_cmd, filt, extra_wrench)
+    def deriv(y: np.ndarray, out: np.ndarray) -> None:
+        _derivative(model, y, forces_cmd, filt, extra_wrench, grad, out)
 
-    y0 = _pack(ps, model.actuator_count, filt)
-    k1 = deriv(y0)
-    k2 = deriv(y0 + (0.5 * dt) * k1)
-    k3 = deriv(y0 + (0.5 * dt) * k2)
-    k4 = deriv(y0 + dt * k3)
-    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y1)) or np.max(np.abs(y1)) > BLOWUP_LIMIT:
+    y0 = _pack(ps, n, filt)
+    k = np.empty((4, y0.size))
+    deriv(y0, k[0])
+    deriv(y0 + (0.5 * dt) * k[0], k[1])
+    deriv(y0 + (0.5 * dt) * k[1], k[2])
+    deriv(y0 + dt * k[2], k[3])
+    y1 = y0 + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+    if not np.isfinite(y1).all() or np.abs(y1).max() > BLOWUP_LIMIT:
         raise NumericBlowup(f"plant state diverged at t={ps.time}")
     return _unpack(model, y1, ps.time + dt)
 
@@ -240,6 +285,8 @@ def run_closed_loop(model: RobotModel, gains: ControllerGains,
             "controller and actuator-model back-EMF constants disagree")
     d = model.manifold_dim
     n = model.actuator_count
+    disturbance = None if sim.disturbance is None \
+        else _checked_vector(sim.disturbance, d, "disturbance")
     ref0 = trajectory.sample(0.0)
     start_pose = initial_pose if initial_pose is not None else ref0.pose
     twist0 = np.zeros(d) if initial_twist is None \
@@ -280,7 +327,7 @@ def run_closed_loop(model: RobotModel, gains: ControllerGains,
             break
         for _ in range(sim.substeps):
             ps = step_plant(model, ps, cmd.forces, sim.dt_physics,
-                            extra_wrench=sim.disturbance)
+                            extra_wrench=disturbance)
     return trace
 
 

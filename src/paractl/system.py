@@ -29,8 +29,9 @@ import numpy as np
 
 from .actuator import (ActuatorModel, ControllerGains, closed_loop_poles,
                        discretize)
-from .dynamics import (RobotModel, _potential_gradient, modal_decomposition,
-                       no_load_forces, point_mass_tables, rigid_pose_tables)
+from .dynamics import (RobotModel, _potential_gradient, _rigid_bias,
+                       modal_decomposition, no_load_forces, point_mass_tables,
+                       rigid_pose_tables)
 from .errors import ParactlError
 from .force_distribution import (ForceConstraints, active_pattern, distribute)
 from .kinematics import (EuclideanPose, Pose, forward_kinematics, jacobian,
@@ -199,23 +200,36 @@ def control_step(model: RobotModel, gains: ControllerGains,
             if gains.state_dim else state.xi
 
         eval_pose = ref.pose if evaluate_at_reference else pose
-        # the measured twist is needed before the tables can form the bias
-        twist = ref.velocity if evaluate_at_reference else _estimate_twist(
-            jacobian(geom, pose), state.length_history, lengths, dt)
-        # one batched cable evaluation covers jacobian, mass and bias terms
         if isinstance(eval_pose, EuclideanPose):
+            # the golden planar trace pins the twist estimate and the
+            # no-load curvature to `jacobian`'s cable evaluation, the
+            # tables to their own batched one, so flat poses keep both
+            twist = ref.velocity if evaluate_at_reference else \
+                _estimate_twist(jacobian(geom, pose), state.length_history,
+                                lengths, dt)
             jac, mass, bias = point_mass_tables(model, eval_pose.coords, twist)
+            if not twist.any():
+                bias = None
+            no_load = no_load_forces(model, eval_pose, twist, accel_cmd,
+                                     jac=jac)
         else:
-            jac, mass, bias = rigid_pose_tables(model, eval_pose, twist)
+            # one cable evaluation: a measured twist is estimated through
+            # the tables' own rows
+            twist = ref.velocity if evaluate_at_reference else (
+                lambda rows: _estimate_twist(rows, state.length_history,
+                                             lengths, dt))
+            jac, mass, gyro, curve = rigid_pose_tables(model, eval_pose, twist)
+            bias = _rigid_bias(model, jac, gyro, curve)
+            no_load = np.zeros(jac.shape[0]) if curve is None else \
+                model.inertial.actuator_mass * (jac @ accel_cmd + curve)
         wrench_cmd = mass @ accel_cmd + _potential_gradient(model, eval_pose)
-        if np.any(twist):
+        if bias is not None:
             wrench_cmd += bias
         command_offset = np.zeros(jac.shape[0])
         if gains.back_emf:
             ref_jac = jac if evaluate_at_reference else jacobian(geom,
                                                                  ref.pose)
             command_offset = gains.back_emf * (ref_jac @ ref.velocity)
-        no_load = no_load_forces(model, eval_pose, twist, accel_cmd, jac=jac)
         diag = ControlDiagnostics(pose=pose, pose_error=error,
                                   accel_cmd=accel_cmd, wrench_cmd=wrench_cmd,
                                   no_load=no_load)

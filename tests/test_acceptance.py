@@ -5,6 +5,7 @@ lines alongside the pytest report.
 """
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from paractl import (ActuatorModel, ControllerGains, EuclideanPose,
 from paractl.cli import run_command
 from paractl.simulator import PlantState, step_plant
 from paractl.trace_io import read_trace
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @contextmanager
@@ -328,8 +331,10 @@ def test_criterion_8_stability_gate():
 def test_criterion_9_brake_path(tmp_path):
     with criterion(9, "brake on unreachable reference"):
         out = tmp_path / "brake.csv"
-        code = run_command(["simulate", "--config", "configs/planar3.json",
-                            "--trajectory", "configs/planar3_brake.json",
+        code = run_command(["simulate",
+                            "--config", str(CONFIGS / "planar3.json"),
+                            "--trajectory",
+                            str(CONFIGS / "planar3_brake.json"),
                             "--out", str(out)])
         assert code == 2
         trace = read_trace(str(out))
@@ -358,8 +363,8 @@ def test_criterion_9_brake_path(tmp_path):
 
 def test_criterion_10_deterministic_golden_run(tmp_path):
     with criterion(10, "byte-identical reruns"):
-        args = ["simulate", "--config", "configs/planar3.json",
-                "--trajectory", "configs/planar3_move.json",
+        args = ["simulate", "--config", str(CONFIGS / "planar3.json"),
+                "--trajectory", str(CONFIGS / "planar3_move.json"),
                 "--duration", "0.5"]
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -367,5 +372,6 @@ def test_criterion_10_deterministic_golden_run(tmp_path):
         assert run_command(args + ["--out", str(b)]) == 0
         blob_a = a.read_bytes()
         assert blob_a == b.read_bytes()
-        golden = open("tests/data/golden_planar3.csv", "rb").read()
+        golden = (Path(__file__).parent / "data"
+                  / "golden_planar3.csv").read_bytes()
         assert blob_a == golden

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from paractl.config import config_to_dict
 from paractl.trace_io import read_trace, trace_header, write_trace
 from paractl.simulator import TraceLog
 
-PLANAR3 = "configs/planar3.json"
-CUBE8 = "configs/cube8.json"
-MOVE = "configs/planar3_move.json"
-BRAKE = "configs/planar3_brake.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PLANAR3 = str(CONFIGS / "planar3.json")
+CUBE8 = str(CONFIGS / "cube8.json")
+MOVE = str(CONFIGS / "planar3_move.json")
+BRAKE = str(CONFIGS / "planar3_brake.json")
 
 
 def planar3_dict():

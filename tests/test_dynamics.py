@@ -312,11 +312,12 @@ def test_point_mass_tables_match_generic_path():
 
 
 def _assert_rigid_tables_match_chart_differences(model, poses, rng):
-    from paractl.dynamics import (_chart_mass_rigid, _velocity_bias,
-                                  rigid_pose_tables)
+    from paractl.dynamics import (_chart_mass_rigid, _rigid_bias,
+                                  _velocity_bias, rigid_pose_tables)
     for pose in poses:
         twist = rng.uniform(-1.0, 1.0, 6)
-        rows, mass, bias = rigid_pose_tables(model, pose, twist)
+        rows, mass, gyro, curve = rigid_pose_tables(model, pose, twist)
+        bias = _rigid_bias(model, rows, gyro, curve)
         np.testing.assert_allclose(rows, jacobian(model.geometry, pose),
                                    atol=1e-14)
         np.testing.assert_allclose(mass, mass_matrix(model, pose),
@@ -401,7 +402,13 @@ def test_energy_conserved_with_spring_potential():
         / abs(start) <= 1e-6
 
 
-def test_energy_conserved_rigid_plant():
+@pytest.mark.parametrize("spring", [
+    {},
+    # a position-dependent potential: the plant must take its gradient at
+    # every RK4 stage, not once per step
+    {"spring_stiffness": 30.0, "spring_center": [0.05, -0.04, 1.45]}],
+    ids=["no_spring", "spring"])
+def test_energy_conserved_rigid_plant(spring):
     # gyroscopic and cable-curvature terms all run through the closed-form
     # rigid tables here
     geom = cube8_model().geometry
@@ -409,7 +416,7 @@ def test_energy_conserved_rigid_plant():
                                             gravity=[0.0, 0.0, 0.0],
                                             inertia=np.diag([0.02, 0.025,
                                                              0.03]),
-                                            actuator_mass=0.08))
+                                            actuator_mass=0.08, **spring))
     ps = PlantState(cube8_home(),
                     np.array([0.1, -0.05, 0.02, 0.4, 0.3, -0.2]))
     start = total_energy(model, ps.pose, ps.twist)

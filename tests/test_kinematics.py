@@ -239,6 +239,18 @@ def test_pose_difference_matches_scipy_rotvec(qa, qb):
                                relative.as_matrix(), atol=1e-9)
 
 
+@given(st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 0.3), st.floats(0.2, 5.0))
+def test_rotation_of_non_unit_quaternion_matches_scipy(q, scale):
+    # RigidPose.rotation takes the quaternion as stored; quat_to_matrix
+    # normalizes through 2 / |q|^2, so any nonzero scale gives the rotation
+    from scipy.spatial.transform import Rotation
+    q = np.asarray(q)
+    rot = RigidPose(np.zeros(3), scale * q).rotation
+    expected = Rotation.from_quat([q[1], q[2], q[3], q[0]]).as_matrix()
+    np.testing.assert_allclose(rot, expected, atol=1e-13)
+
+
 def test_pose_difference_first_order_ratio_rigid():
     # walk the pose along a straight line in Euler-angle coordinates: a
     # "reasonable" chart where the instantaneous rotation axis varies, so

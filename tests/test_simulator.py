@@ -179,6 +179,31 @@ def test_sim_config_validation():
     assert SimConfig(dt_control=1e-3, dt_physics=2.5e-4).substeps == 4
 
 
+@pytest.mark.parametrize("extra", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+def test_step_plant_rejects_wrong_extra_wrench_shape(extra):
+    # a one-value wrench used to broadcast onto both axes
+    ps = PlantState(planar3_pose(), np.zeros(2))
+    with pytest.raises(ValidationError):
+        step_plant(free_model(), ps, np.zeros(3), 1e-3, extra_wrench=extra)
+
+
+@pytest.mark.parametrize("forces", [[1.0], [1.0, 2.0], np.zeros(4),
+                                    np.zeros((3, 1))])
+def test_step_plant_rejects_wrong_force_count(forces):
+    ps = PlantState(planar3_pose(), np.zeros(2))
+    with pytest.raises(ValidationError):
+        step_plant(free_model(), ps, forces, 1e-3)
+
+
+@pytest.mark.parametrize("disturbance", [[0.5], [0.5, 0.5, 0.5]])
+def test_run_closed_loop_rejects_wrong_disturbance_shape(disturbance):
+    model, con, gains = closed_loop_setup()
+    sim = SimConfig(duration=0.01, dt_physics=1e-3, disturbance=disturbance)
+    with pytest.raises(ValidationError):
+        run_closed_loop(model, gains, con, Trajectory.hold(planar3_pose()),
+                        sim)
+
+
 def closed_loop_setup(min_tension=0.5):
     model = RobotModel(
         RobotGeometry.point_mass([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]]),

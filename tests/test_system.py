@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import planar3_pose
+from conftest import cube8_home, cube8_model, planar3_pose
 from paractl import (Command, EuclideanPose, ReferenceSample, RobotGeometry,
                      RobotModel, InertialParams, SystemControllerState,
-                     control_step, finite_difference_stack,
-                     inverse_kinematics, jacobian, matrix_action, pd_gains,
+                     bias_force, control_step, finite_difference_stack,
+                     inverse_kinematics, jacobian, mass_matrix,
+                     matrix_action, no_load_forces, pd_gains,
                      predicted_modal_response, feedforward_step,
-                     ForceConstraints, force_distribution)
+                     ForceConstraints, force_distribution, retract)
 from paractl.actuator import ActuatorModel
 
 
@@ -163,6 +164,65 @@ def test_control_step_brakes_on_nan_reference_acceleration(
     ref = ReferenceSample(pose, np.zeros(2), np.array([np.nan, 0.0]))
     _assert_latched_brake(planar3_model, planar3_gains, planar3_constraints,
                           state, lengths, ref, "ValidationError: ")
+
+
+def test_control_step_brakes_on_wrong_reading_count():
+    model = cube8_model()
+    pose = cube8_home()
+    gains = pd_gains(9.0, 6.0, back_emf=0.0, no_load_mass=0.05)
+    con = ForceConstraints.uniform(8, min_tension=1.0, max_command=400.0)
+    lengths = inverse_kinematics(model.geometry, pose)[:7]
+    state = SystemControllerState.initial(gains, pose)
+    _assert_latched_brake(model, gains, con, state, lengths,
+                          ReferenceSample(pose, np.zeros(6), np.zeros(6)),
+                          "ValidationError: ")
+
+
+@pytest.mark.parametrize("at_reference", [False, True])
+def test_moving_cube8_control_step_matches_public_dynamics(at_reference):
+    # two ticks along a moving reference; the tick's wrench and no-load
+    # forces are checked against mass_matrix, bias_force and
+    # no_load_forces composed at the tick's pose and twist
+    model = cube8_model(actuator_mass=0.08)
+    gains = pd_gains(9.0, 6.0, back_emf=0.0, no_load_mass=0.08)
+    con = ForceConstraints.uniform(8, min_tension=1.0, max_command=400.0)
+    geom = model.geometry
+    dt = 1e-3
+    velocity = np.array([0.05, -0.03, 0.02, 0.3, -0.2, 0.25])
+    accel = np.array([0.4, 0.1, -0.2, 1.0, 0.5, -0.8])
+    start = retract(cube8_home(), [0.01, 0.0, -0.01, 0.02, 0.01, 0.0])
+    state = SystemControllerState.initial(gains, start)
+    prev_lengths = None
+    for tick in range(2):
+        ref = ReferenceSample(retract(cube8_home(), velocity * tick * dt),
+                              velocity, accel)
+        lengths = inverse_kinematics(
+            geom, retract(start, 0.9 * velocity * tick * dt))
+        cmd, state, diag = control_step(model, gains, con, state, lengths,
+                                        ref, dt,
+                                        evaluate_at_reference=at_reference)
+        assert not cmd.is_brake
+        if at_reference:
+            pose, twist = ref.pose, ref.velocity
+        elif prev_lengths is None:
+            pose, twist = diag.pose, np.zeros(6)
+        else:
+            # damped least-squares twist from the value rates
+            pose = diag.pose
+            jac = jacobian(geom, pose)
+            gram = jac.T @ jac
+            twist = np.linalg.solve(
+                gram + 1e-12 * np.trace(gram) * np.eye(6),
+                jac.T @ ((lengths - prev_lengths) / dt))
+        prev_lengths = lengths
+        assert tick == 0 or np.linalg.norm(twist) > 0.1
+        wrench = (mass_matrix(model, pose) @ diag.accel_cmd
+                  + bias_force(model, pose, twist))
+        np.testing.assert_allclose(diag.wrench_cmd, wrench, rtol=1e-12,
+                                   atol=1e-12 * np.abs(wrench).max())
+        no_load = no_load_forces(model, pose, twist, diag.accel_cmd)
+        np.testing.assert_allclose(diag.no_load, no_load, rtol=1e-12,
+                                   atol=1e-12 * np.abs(no_load).max())
 
 
 def test_control_step_wrench_realized(planar3_model, planar3_constraints,
