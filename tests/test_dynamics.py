@@ -1,17 +1,25 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cube8_home, cube8_model, planar3_pose,
+from conftest import (cube8_geometry, cube8_home, cube8_model, planar3_pose,
                       random_planar_poses, random_rigid_poses)
 from oracles import euler_lagrange_bias
 from paractl import (DegenerateGeometry, EuclideanPose, InertialParams,
-                     RigidPose, RobotGeometry, RobotModel, bias_force,
-                     cable_tensions, forward_dynamics, jacobian, mass_matrix,
-                     modal_decomposition, no_load_forces, total_energy)
+                     RigidPose, RobotGeometry, RobotModel, SingularMass,
+                     ValidationError, bias_force, cable_tensions,
+                     forward_dynamics, jacobian, load_config, mass_matrix,
+                     modal_decomposition, modal_masses, no_load_forces,
+                     total_energy)
 from paractl.dynamics import point_mass_tables
-from paractl.kinematics import quat_normalize
+from paractl.kinematics import (gram_matrix, quat_from_rotation_vector,
+                                quat_normalize)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 from paractl.simulator import PlantState, step_plant
 
 
@@ -274,6 +282,63 @@ def test_modal_split_matches_mass_and_gram_reference(actuator_mass):
         assert np.array_equal(dec.modal_masses, masses)
         assert np.array_equal(dec.modes, inv_root @ sym_vecs)
         assert np.array_equal(dec.duals, root @ sym_vecs)
+
+
+def test_rigid_model_without_inertia_rejected():
+    # caught where the model is built, not as a raw error inside a tick
+    with pytest.raises(ValidationError, match="inertia"):
+        RobotModel(cube8_geometry(),
+                   InertialParams(body_mass=5.0, gravity=[0, 0, -9.81],
+                                  actuator_mass=0.05))
+
+
+def _sweep_poses(cfg, rng, count, tilt_max):
+    """Positions uniform in the config's workspace box, rotation vectors
+    uniform in [-tilt_max, tilt_max] per component (flat: positions)."""
+    positions = rng.uniform(cfg.workspace_min, cfg.workspace_max,
+                            (count, cfg.workspace_min.size))
+    if cfg.manifold != "se3":
+        return [EuclideanPose(p) for p in positions]
+    rotvecs = rng.uniform(-tilt_max, tilt_max, (count, 3))
+    return [RigidPose(p, quat_from_rotation_vector(r))
+            for p, r in zip(positions, rotvecs)]
+
+
+@pytest.mark.parametrize("name,count", [("cube8", 2000), ("planar3", 300)])
+def test_modal_masses_match_decomposition_and_general_eigensolver(name,
+                                                                  count):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    model = cfg.model
+    for pose in _sweep_poses(cfg, np.random.default_rng(8101), count, 0.3):
+        masses = modal_masses(model, pose)
+        split = modal_decomposition(model, pose).modal_masses
+        assert np.all(np.diff(masses) >= 0.0)
+        np.testing.assert_allclose(masses, split, rtol=1e-10, atol=0.0)
+        # the generalized symmetric eigenproblem J^T J v = lam M v, from
+        # the public mass and gram matrices
+        lam = scipy.linalg.eigh(gram_matrix(model.geometry, pose),
+                                mass_matrix(model, pose), eigvals_only=True)
+        np.testing.assert_allclose(masses, 1.0 / lam[::-1], rtol=1e-10,
+                                   atol=0.0)
+
+
+@pytest.mark.parametrize("body_mass", [0.0, 1e-13])
+def test_modal_masses_singular_where_decomposition_is(body_mass):
+    model = RobotModel(cube8_geometry(),
+                       InertialParams(body_mass=body_mass,
+                                      gravity=[0, 0, -9.81],
+                                      inertia=np.diag([0.02, 0.025, 0.03]),
+                                      actuator_mass=0.0))
+    for split in (modal_masses, modal_decomposition):
+        with pytest.raises(SingularMass):
+            split(model, cube8_home())
+
+
+def test_modal_split_rejects_non_finite_pose():
+    pose = RigidPose([np.nan, 0.0, 1.5], [1.0, 0.0, 0.0, 0.0])
+    for split in (modal_masses, modal_decomposition):
+        with pytest.raises(ValidationError):
+            split(cube8_model(), pose)
 
 
 def test_reflected_inertia_never_exceeds_total(planar3_model):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import cube8_home, cube8_model, planar3_pose
+from conftest import cube8_geometry, cube8_home, cube8_model, planar3_pose
 from paractl import (Command, EuclideanPose, ReferenceSample, RobotGeometry,
-                     RobotModel, InertialParams, SystemControllerState,
+                     RobotModel, InertialParams, SingularMass,
+                     SystemControllerState, modal_decomposition,
                      bias_force, control_step, finite_difference_stack,
                      inverse_kinematics, jacobian, mass_matrix,
                      matrix_action, no_load_forces, pd_gains,
@@ -319,6 +320,31 @@ def test_predicted_modal_response_clamped_mode():
     gains = pd_gains(4.0, 4.0, back_emf=0.5)
     poles = closed_loop_poles(gains, ActuatorModel.ideal(0.5), np.inf)
     assert -np.sum(poles.real) == pytest.approx(4.0)
+
+
+def test_predicted_modal_response_unsensed_mode(planar3_gains):
+    # one cable on a planar point: the direction across the cable feels no
+    # actuator, so its modal mass is infinite (along it: body plus m0), and
+    # without rate terms it still gets the shared poles
+    model = RobotModel(RobotGeometry.point_mass([[0.0, 0.0]]),
+                       InertialParams(body_mass=1.0, gravity=[0.0, 0.0],
+                                      actuator_mass=0.1))
+    pose = EuclideanPose([1.2, 0.5])
+    responses = predicted_modal_response(model, planar3_gains, pose)
+    assert [r.modal_mass for r in responses] == pytest.approx([1.1, np.inf],
+                                                              rel=1e-12)
+    assert np.isinf(modal_decomposition(model, pose).modal_masses[1])
+    assert np.array_equal(responses[0].poles, responses[1].poles)
+    np.testing.assert_allclose(responses[1].poles, [-2.0, -2.0], atol=1e-7)
+
+
+def test_predicted_modal_response_singular_mass(planar3_gains):
+    model = RobotModel(cube8_geometry(),
+                       InertialParams(body_mass=0.0, gravity=[0, 0, -9.81],
+                                      inertia=np.diag([0.02, 0.025, 0.03]),
+                                      actuator_mass=0.0))
+    with pytest.raises(SingularMass):
+        predicted_modal_response(model, planar3_gains, cube8_home())
 
 
 def test_evaluate_at_reference_mode(planar3_model, planar3_constraints,
