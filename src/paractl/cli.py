@@ -16,10 +16,9 @@ from .errors import NumericBlowup, ParactlError
 from .force_distribution import wrench_feasible
 from .kinematics import inverse_kinematics, jacobian
 from .simulator import run_closed_loop, tracking_metrics
-from .system import predicted_modal_response
 from .trace_io import write_trace
 from .trajectory import load_trajectory
-from .actuator import stability_check
+from .actuator import closed_loop_poles, stability_check
 from dataclasses import replace
 
 
@@ -118,9 +117,12 @@ def _cmd_analyze(args) -> int:
           ", ".join(f"{v:.9g}" for v in decomp.eigenvalues))
     print("modal masses:",
           ", ".join(f"{v:.9g}" for v in decomp.modal_masses))
-    for i, resp in enumerate(predicted_modal_response(model, cfg.gains, pose)):
-        poles = ", ".join(f"{p.real:.6g}{p.imag:+.6g}j" for p in resp.poles)
-        print(f"mode {i + 1} (mass {resp.modal_mass:.9g}): poles {poles}")
+    # one set of masses for both lines, so they cannot disagree
+    mode_poles = closed_loop_poles(cfg.gains, model.actuator,
+                                   decomp.modal_masses)
+    for i, (m, pole_set) in enumerate(zip(decomp.modal_masses, mode_poles)):
+        poles = ", ".join(f"{p.real:.6g}{p.imag:+.6g}j" for p in pole_set)
+        print(f"mode {i + 1} (mass {m:.9g}): poles {poles}")
     return 0
 
 

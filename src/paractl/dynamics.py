@@ -353,6 +353,11 @@ class ModalDecomposition:
         return self.duals.T @ np.asarray(tangent, float)
 
 
+# eigenvalues at or below this count as zero: a singular mass matrix, or a
+# modal direction the actuators cannot sense
+_ZERO_TOL = 1e-12
+
+
 def _mass_split(model: RobotModel, pose: Pose, zero_tol: float):
     """J^T J and the eigendecomposition of M from one jacobian evaluation,
     M formed as `mass_matrix` does.
@@ -383,7 +388,7 @@ def _masses_of(eigs: np.ndarray, zero_tol: float) -> np.ndarray:
 
 
 def modal_decomposition(model: RobotModel, pose: Pose,
-                        zero_tol: float = 1e-12) -> ModalDecomposition:
+                        zero_tol: float = _ZERO_TOL) -> ModalDecomposition:
     """Diagonalize M^{-1} J^T J through its symmetric similar form.
 
     M^{-1/2} J^T J M^{-1/2} is symmetric positive semi-definite, so a real
@@ -414,8 +419,7 @@ def modal_decomposition(model: RobotModel, pose: Pose,
                               modes=modes, duals=duals)
 
 
-def modal_masses(model: RobotModel, pose: Pose,
-                 zero_tol: float = 1e-12) -> np.ndarray:
+def modal_masses(model: RobotModel, pose: Pose) -> np.ndarray:
     """The modal masses of `modal_decomposition`, in its order (increasing,
     unsensed directions last as +inf), without the modes.
 
@@ -425,7 +429,7 @@ def modal_masses(model: RobotModel, pose: Pose,
     eigendecomposition of M is `modal_decomposition`'s own, so both raise
     SingularMass at the same poses.
     """
-    gram, vals, vecs = _mass_split(model, pose, zero_tol)
+    gram, vals, vecs = _mass_split(model, pose, _ZERO_TOL)
     white = vecs / np.sqrt(vals)
     eigs = np.linalg.eigvalsh(white.T @ gram @ white)[::-1]
-    return _masses_of(eigs, zero_tol)
+    return _masses_of(eigs, _ZERO_TOL)

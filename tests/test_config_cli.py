@@ -147,6 +147,11 @@ def test_cli_analyze_prints_modal_masses(capsys):
     assert "0.725" in out
     assert "0.814285714" in out
     assert "jacobian" in out
+    masses = next(line for line in out.splitlines()
+                  if line.startswith("modal masses:"))
+    per_mode = [line.split("(mass ")[1].split(")")[0]
+                for line in out.splitlines() if line.startswith("mode ")]
+    assert masses.split(": ")[1].split(", ") == per_mode
 
 
 def test_cli_tune_check(capsys):

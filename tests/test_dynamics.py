@@ -18,9 +18,9 @@ from paractl import (DegenerateGeometry, EuclideanPose, InertialParams,
 from paractl.dynamics import point_mass_tables
 from paractl.kinematics import (gram_matrix, quat_from_rotation_vector,
                                 quat_normalize)
+from paractl.simulator import PlantState, step_plant
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-from paractl.simulator import PlantState, step_plant
 
 
 def spring_planar_model(planar3_geom=None):
