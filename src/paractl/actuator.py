@@ -55,12 +55,6 @@ class ActuatorModel:
     def back_emf(self) -> float:
         return self.rate_coeffs[0] if self.rate_coeffs else 0.0
 
-    @property
-    def is_ideal(self) -> bool:
-        return (not self.force_deriv_coeffs
-                and not self.command_deriv_coeffs
-                and all(c == 0.0 for c in self.rate_coeffs[1:]))
-
 
 @dataclass(frozen=True)
 class ControllerGains:

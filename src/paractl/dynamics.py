@@ -348,9 +348,9 @@ class ModalDecomposition:
     modes: np.ndarray
     duals: np.ndarray
 
-    def project(self, tangent: np.ndarray) -> np.ndarray:
-        """Coordinates of a tangent vector in the modal basis."""
-        return self.duals.T @ np.asarray(tangent, float)
+    def project(self, tangents: np.ndarray) -> np.ndarray:
+        """Modal coordinates of a tangent vector, or of each row of a stack."""
+        return np.asarray(tangents, float) @ self.duals
 
 
 # eigenvalues at or below this count as zero: a singular mass matrix, or a

@@ -52,10 +52,10 @@ class ForceConstraints:
                            np.atleast_1d(np.asarray(self.min_tension, float)))
         object.__setattr__(self, "max_command",
                            np.atleast_1d(np.asarray(self.max_command, float)))
-        if np.any(self.min_tension < 0.0):
-            raise ValueError("minimum tensions must be nonnegative")
-        if np.any(self.max_command <= 0.0):
-            raise ValueError("command limits must be positive")
+        if not np.all(self.min_tension >= 0.0):
+            raise ValueError("minimum tensions must be nonnegative numbers")
+        if not np.all(self.max_command > 0.0):
+            raise ValueError("command limits must be positive numbers")
 
     @classmethod
     def uniform(cls, count: int, min_tension: float = 0.0,

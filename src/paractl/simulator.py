@@ -18,6 +18,9 @@ writes its rate into one row of a preallocated (4, size) array, and
 evaluates the cables once through the tables.  Without a spring the
 potential gradient is constant, so `step_plant` forms it once per step.
 Inputs are shape-checked once per `step_plant` call, outside the stages.
+
+`run_closed_loop` fills one NaN-prefilled table laid out by
+`trace_columns`, a row per tick, and cuts it at a brake tick.
 """
 from __future__ import annotations
 
@@ -53,14 +56,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt_physics <= 0 or self.dt_control < self.dt_physics:
-            raise ValidationError("need 0 < dt_physics <= dt_control")
+        if not (0 < self.dt_physics <= self.dt_control < math.inf):
+            raise ValidationError("need 0 < dt_physics <= dt_control < inf")
         ratio = self.dt_control / self.dt_physics
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError(
                 "dt_control must be an integer multiple of dt_physics")
-        if self.duration <= 0:
-            raise ValidationError("duration must be positive")
+        if not (0 < self.duration < math.inf):
+            raise ValidationError("duration must be positive and finite")
+        if not (0 <= self.noise_sigma < math.inf):
+            raise ValidationError("noise_sigma must be finite and >= 0")
         if self.disturbance is not None:
             object.__setattr__(self, "disturbance",
                                np.asarray(self.disturbance, float))
@@ -238,33 +243,69 @@ def step_plant(model: RobotModel, ps: PlantState, forces_cmd: np.ndarray,
     return _unpack(model, y1, ps.time + dt)
 
 
-@dataclass
+def trace_columns(manifold_dim: int, actuator_count: int) -> tuple:
+    """The trace table's column blocks in CSV order, as (field, CSV name
+    prefix, width); width None marks a single unnumbered column."""
+    d, n = manifold_dim, actuator_count
+    return (("t", "t", None), ("pose", "eta", d), ("ref_pose", "etar", d),
+            ("pose_error", "thetad", d), ("modal_error", "mode", d),
+            ("forces_cmd", "fc", n), ("tensions", "tension", n),
+            ("brake", "brake", None))
+
+
+@dataclass(frozen=True, eq=False)
 class TraceLog:
-    """Per-control-tick record of a closed-loop run."""
+    """Per-control-tick record of a closed-loop run.
+
+    The named fields are views of `table`'s columns, 1-D for t and the 0/1
+    brake flag; `accel_cmd` (ticks, d) is not written to CSV.  Values a
+    braked tick did not produce are NaN.  No table means an empty trace;
+    a table or accel_cmd of another shape raises ValueError.
+    """
 
     manifold_dim: int
     actuator_count: int
-    t: list = field(default_factory=list)
-    pose: list = field(default_factory=list)          # chart coordinates
-    ref_pose: list = field(default_factory=list)
-    pose_error: list = field(default_factory=list)
-    modal_error: list = field(default_factory=list)
-    forces_cmd: list = field(default_factory=list)
-    tensions: list = field(default_factory=list)
-    brake: list = field(default_factory=list)
-    accel_cmd: list = field(default_factory=list)
+    table: np.ndarray | None = None
+    accel_cmd: np.ndarray | None = None
+    t: np.ndarray = field(init=False, repr=False)
+    pose: np.ndarray = field(init=False, repr=False)    # chart coordinates
+    ref_pose: np.ndarray = field(init=False, repr=False)
+    pose_error: np.ndarray = field(init=False, repr=False)
+    modal_error: np.ndarray = field(init=False, repr=False)
+    forces_cmd: np.ndarray = field(init=False, repr=False)
+    tensions: np.ndarray = field(init=False, repr=False)
+    brake: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d = self.manifold_dim
+        blocks = trace_columns(d, self.actuator_count)
+        sizes = [1 if size is None else size for *_, size in blocks]
+        width = sum(sizes)
+        table = np.empty((0, width)) if self.table is None \
+            else np.asarray(self.table, float)
+        accel = np.full((len(table), d), np.nan) if self.accel_cmd is None \
+            else np.asarray(self.accel_cmd, float)
+        if table.shape[1:] != (width,) or accel.shape != (len(table), d):
+            raise ValueError(f"trace needs a (ticks, {width}) table and a "
+                             f"(ticks, {d}) accel_cmd")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "accel_cmd", accel)
+        pieces = np.split(table, np.cumsum(sizes)[:-1], axis=1)
+        for (name, _, size), piece in zip(blocks, pieces):
+            object.__setattr__(self, name,
+                               piece[:, 0] if size is None else piece)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.table)
 
     def times(self) -> np.ndarray:
-        return np.asarray(self.t)
+        return self.t
 
     def modal_errors(self) -> np.ndarray:
-        return np.asarray(self.modal_error)
+        return self.modal_error
 
     def pose_errors(self) -> np.ndarray:
-        return np.asarray(self.pose_error)
+        return self.pose_error
 
 
 def run_closed_loop(model: RobotModel, gains: ControllerGains,
@@ -287,18 +328,20 @@ def run_closed_loop(model: RobotModel, gains: ControllerGains,
     n = model.actuator_count
     disturbance = None if sim.disturbance is None \
         else _checked_vector(sim.disturbance, d, "disturbance")
+    twist0 = np.zeros(d) if initial_twist is None \
+        else _checked_vector(initial_twist, d, "initial_twist")
     ref0 = trajectory.sample(0.0)
     start_pose = initial_pose if initial_pose is not None else ref0.pose
-    twist0 = np.zeros(d) if initial_twist is None \
-        else np.asarray(initial_twist, float)
     rng = np.random.default_rng(sim.seed)
     basis = modal_decomposition(model, ref0.pose)
     state = SystemControllerState.initial(gains, start_pose)
     ps = PlantState(pose=start_pose, twist=twist0, time=0.0)
-    trace = TraceLog(manifold_dim=d, actuator_count=n)
     n_ticks = int(np.floor(sim.duration / sim.dt_control + 1e-9))
+    width = TraceLog(d, n).table.shape[1]
+    log = TraceLog(d, n, np.full((n_ticks, width), np.nan))
+    ticks = n_ticks
     for tick in range(n_ticks):
-        t = tick * sim.dt_control
+        t = log.t[tick] = tick * sim.dt_control
         ref = trajectory.sample(t)
         lengths = inverse_kinematics(model.geometry, ps.pose)
         if sim.noise_sigma > 0.0:
@@ -306,28 +349,24 @@ def run_closed_loop(model: RobotModel, gains: ControllerGains,
         cmd, state, diag = control_step(
             model, gains, con, state, lengths, ref, sim.dt_control,
             evaluate_at_reference=evaluate_at_reference)
-        error = diag.pose_error if diag.pose_error is not None \
-            else np.full(d, np.nan)
-        trace.t.append(t)
-        trace.pose.append(pose_to_chart(diag.pose) if diag.pose is not None
-                          else np.full(d, np.nan))
-        trace.ref_pose.append(pose_to_chart(ref.pose))
-        trace.pose_error.append(error)
-        trace.modal_error.append(basis.project(error)
-                                 if diag.pose_error is not None
-                                 else np.full(d, np.nan))
-        trace.forces_cmd.append(cmd.forces if not cmd.is_brake
-                                else np.full(n, np.nan))
-        trace.tensions.append(diag.tensions if diag.tensions is not None
-                              else np.full(n, np.nan))
-        trace.brake.append(cmd.is_brake)
-        trace.accel_cmd.append(diag.accel_cmd if diag.accel_cmd is not None
-                               else np.full(d, np.nan))
+        log.ref_pose[tick] = pose_to_chart(ref.pose)
+        log.brake[tick] = cmd.is_brake
+        # a tick braked inside forward kinematics has no estimate; one
+        # braked later has its estimate but no forces
+        if diag.pose is not None:
+            log.pose[tick] = pose_to_chart(diag.pose)
+            log.pose_error[tick] = diag.pose_error
+            log.accel_cmd[tick] = diag.accel_cmd
         if cmd.is_brake:
+            ticks = tick + 1
             break
+        log.forces_cmd[tick] = cmd.forces
+        log.tensions[tick] = diag.tensions
         for _ in range(sim.substeps):
             ps = step_plant(model, ps, cmd.forces, sim.dt_physics,
                             extra_wrench=disturbance)
+    trace = TraceLog(d, n, log.table[:ticks], log.accel_cmd[:ticks])
+    trace.modal_error[:] = basis.project(trace.pose_error)
     return trace
 
 
@@ -360,14 +399,10 @@ def settling_time(t: np.ndarray, signal: np.ndarray,
 def tracking_metrics(trace: TraceLog, band: float = 0.02) -> TrackingMetrics:
     if len(trace) == 0:
         raise ValueError("empty trace")
-    errors = trace.pose_errors()
-    finite = errors[np.all(np.isfinite(errors), axis=1)]
+    finite = trace.pose_error[np.isfinite(trace.pose_error).all(axis=1)]
     norms = np.linalg.norm(finite, axis=1) if finite.size else np.array([0.0])
-    modal = trace.modal_errors()
-    t = trace.times()
-    settles = np.array([settling_time(t, modal[:, j], band)
-                        for j in range(modal.shape[1])]) \
-        if modal.size else np.zeros(0)
+    settles = np.array([settling_time(trace.t, mode, band)
+                        for mode in trace.modal_error.T])
     return TrackingMetrics(max_error=float(np.max(norms)),
                            rms_error=float(np.sqrt(np.mean(norms**2))),
                            settling_times=settles,

@@ -1,69 +1,38 @@
 """CSV serialization of closed-loop traces.
 
-Columns: t, pose chart coordinates, reference chart coordinates, pose
-error, modal error projections, commanded forces, commanded tensions, and
-the brake flag.  Numbers carry 9 significant digits and the writer is
-deterministic byte for byte for equal inputs.
+One row per control tick, columns in `simulator.trace_columns` order.
+Numbers carry 9 significant digits, non-finite ones print as nan, and the
+writer is deterministic byte for byte for equal inputs.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .simulator import TraceLog
-
-
-def _fmt(x: float) -> str:
-    if not np.isfinite(x):
-        return "nan"
-    return f"{x:.9g}"
+from .simulator import TraceLog, trace_columns
 
 
 def trace_header(manifold_dim: int, actuator_count: int) -> list[str]:
-    cols = ["t"]
-    cols += [f"eta_{i + 1}" for i in range(manifold_dim)]
-    cols += [f"etar_{i + 1}" for i in range(manifold_dim)]
-    cols += [f"thetad_{i + 1}" for i in range(manifold_dim)]
-    cols += [f"mode_{i + 1}" for i in range(manifold_dim)]
-    cols += [f"fc_{i + 1}" for i in range(actuator_count)]
-    cols += [f"tension_{i + 1}" for i in range(actuator_count)]
-    cols.append("brake")
-    return cols
+    return [prefix if width is None else f"{prefix}_{i + 1}"
+            for _, prefix, width in trace_columns(manifold_dim, actuator_count)
+            for i in range(1 if width is None else width)]
 
 
 def write_trace(trace: TraceLog, path: str) -> None:
+    table = trace.table
+    rows = np.where(np.isfinite(table), table, np.nan).tolist()
+    line = ",".join(["%.9g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trace_header(trace.manifold_dim,
-                                     trace.actuator_count))
-        for i in range(len(trace)):
-            row = [_fmt(trace.t[i])]
-            for block in (trace.pose[i], trace.ref_pose[i],
-                          trace.pose_error[i], trace.modal_error[i],
-                          trace.forces_cmd[i], trace.tensions[i]):
-                row += [_fmt(v) for v in block]
-            row.append("1" if trace.brake[i] else "0")
-            writer.writerow(row)
+        fh.write(",".join(trace_header(trace.manifold_dim,
+                                       trace.actuator_count)) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def read_trace(path: str) -> TraceLog:
-    """Parse a trace CSV back into memory (accel_cmd is not stored)."""
+    """Parse a trace CSV back into memory; accel_cmd comes back NaN."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
+        header = fh.readline().strip().split(",")
+        rows = [line.split(",") for line in fh if line.strip()]
     dim = sum(1 for name in header if name.startswith("eta_"))
     count = sum(1 for name in header if name.startswith("fc_"))
-    trace = TraceLog(manifold_dim=dim, actuator_count=count)
-    for row in rows:
-        vals = [float(x) for x in row[:-1]]
-        trace.t.append(vals[0])
-        offset = 1
-        for attr, width in (("pose", dim), ("ref_pose", dim),
-                            ("pose_error", dim), ("modal_error", dim),
-                            ("forces_cmd", count), ("tensions", count)):
-            getattr(trace, attr).append(np.asarray(vals[offset:offset + width]))
-            offset += width
-        trace.brake.append(row[-1] == "1")
-    return trace
+    table = np.array(rows, float).reshape(len(rows), len(header))
+    return TraceLog(manifold_dim=dim, actuator_count=count, table=table)

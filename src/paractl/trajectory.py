@@ -1,6 +1,7 @@
 """Reference trajectories: parametric segments or sampled CSV files."""
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 from dataclasses import dataclass
@@ -52,6 +53,9 @@ class Trajectory:
         self.start = start
         self.segments = list(segments or [])
         self.samples = list(samples or [])
+        self._times = [s.time for s in self.samples]
+        if not all(b > a for a, b in zip(self._times, self._times[1:])):
+            raise ValidationError("trajectory times must strictly increase")
         if self.segments and self.samples:
             raise ValidationError("trajectory is either segments or samples")
 
@@ -110,9 +114,8 @@ class Trajectory:
             d = manifold_dim(last.pose)
             return ReferenceSample(last.pose, np.zeros(d), np.zeros(d),
                                    time=t)
-        hi = next(i for i, r in enumerate(rows) if r.time >= t)
-        lo = hi - 1
-        a, b = rows[lo], rows[hi]
+        hi = bisect.bisect_left(self._times, t)   # first row at or after t
+        a, b = rows[hi - 1], rows[hi]
         w = (t - a.time) / (b.time - a.time)
         span = pose_difference(a.pose, b.pose)
         return ReferenceSample(retract(a.pose, w * span),
@@ -168,14 +171,12 @@ def _load_trajectory_csv(path: str, rigid: bool, dim: int) -> Trajectory:
             vel = np.zeros(dim)
             acc = np.zeros(dim)
         samples.append(ReferenceSample(pose, vel, acc, time=row[0]))
-    times = [s.time for s in samples]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValidationError("trajectory times must strictly increase")
+    traj = Trajectory(samples[0].pose, samples=samples)   # checks the times
     if len(header) == want_min:
-        _fill_derivatives(samples)
+        _fill_derivatives(traj.samples)
     else:
-        _check_derivatives(samples)
-    return Trajectory(samples[0].pose, samples=samples)
+        _check_derivatives(traj.samples)
+    return traj
 
 
 def _fill_derivatives(samples: list[ReferenceSample]) -> None:

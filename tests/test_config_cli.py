@@ -56,6 +56,14 @@ def test_degenerate_geometry_rank_error():
         parse_config(data)
 
 
+@pytest.mark.parametrize("key", ["t_min", "f_cmd_max"])
+def test_nan_constraint_rejected(key):
+    data = planar3_dict()
+    data["constraints"][key][0] = float("nan")
+    with pytest.raises(ValidationError):
+        parse_config(data)
+
+
 def test_nonpositive_body_mass_rejected():
     data = planar3_dict()
     data["body"]["mass"] = -1.0
@@ -207,19 +215,16 @@ def test_cli_workspace_map(tmp_path):
 
 
 def make_trace(rows=3, dim=2, count=3):
-    trace = TraceLog(manifold_dim=dim, actuator_count=count)
     rng = np.random.default_rng(0)
-    for k in range(rows):
-        trace.t.append(k * 1e-3)
-        trace.pose.append(rng.normal(size=dim))
-        trace.ref_pose.append(rng.normal(size=dim))
-        trace.pose_error.append(rng.normal(size=dim) * 1e-3)
-        trace.modal_error.append(rng.normal(size=dim) * 1e-3)
-        trace.forces_cmd.append(rng.normal(size=count))
-        trace.tensions.append(rng.uniform(0, 5, count))
-        trace.brake.append(k == rows - 1)
-        trace.accel_cmd.append(rng.normal(size=dim))
-    return trace
+    table = np.column_stack([
+        np.arange(rows) * 1e-3,
+        rng.normal(size=(rows, 2 * dim)),
+        rng.normal(size=(rows, 2 * dim)) * 1e-3,
+        rng.normal(size=(rows, count)),
+        rng.uniform(0, 5, (rows, count)),
+        np.arange(rows) == rows - 1])
+    return TraceLog(manifold_dim=dim, actuator_count=count, table=table,
+                    accel_cmd=rng.normal(size=(rows, dim)))
 
 
 def test_write_trace_empty_header_only(tmp_path):
@@ -239,7 +244,24 @@ def test_trace_round_trip_full_precision(tmp_path):
     path2 = tmp_path / "trace2.csv"
     write_trace(again, str(path2))
     assert path.read_bytes() == path2.read_bytes()
-    assert again.brake == trace.brake
+    np.testing.assert_array_equal(again.brake, trace.brake)
+
+
+def test_write_trace_prints_non_finite_as_nan(tmp_path):
+    trace = make_trace(rows=2, dim=1, count=1)
+    trace.pose[0] = np.inf
+    trace.ref_pose[0] = -np.inf
+    trace.forces_cmd[1] = np.nan
+    path = tmp_path / "trace.csv"
+    write_trace(trace, str(path))
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    first, second = data.decode().splitlines()[1:]
+    assert first.split(",")[1:3] == ["nan", "nan"]
+    assert second.split(",")[5] == "nan"
+    assert "inf" not in data.decode()
+    again = read_trace(str(path))
+    assert again.accel_cmd.shape == (2, 1) and np.isnan(again.accel_cmd).all()
 
 
 def test_write_trace_deterministic(tmp_path):

@@ -66,6 +66,16 @@ def test_constraint_validation():
         ForceConstraints(np.array([0.0]), np.array([0.0]))
 
 
+def test_constraint_rejects_nan():
+    # NaN used to pass: distribute then returned a NaN force, or ran into
+    # a misleading NoConvergence; +inf stays legal as no command limit
+    ForceConstraints(np.array([0.0]), np.array([np.inf]))
+    with pytest.raises(ValueError):
+        ForceConstraints(np.array([np.nan, 0.5]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        ForceConstraints(np.array([0.5, 0.5]), np.array([np.nan, 1.0]))
+
+
 def test_distribute_square_invertible_unbounded():
     jac = np.array([[1.0, 0.2], [-0.3, 1.1]])
     con = ForceConstraints.uniform(2)

@@ -179,6 +179,18 @@ def test_sim_config_validation():
     assert SimConfig(dt_control=1e-3, dt_physics=2.5e-4).substeps == 4
 
 
+@pytest.mark.parametrize("settings", [
+    {"dt_physics": np.nan}, {"dt_control": np.nan}, {"duration": np.nan},
+    {"duration": np.inf}, {"noise_sigma": np.nan}, {"noise_sigma": -1e-4},
+    {"noise_sigma": np.inf}])
+def test_sim_config_rejects_nan_and_out_of_range(settings):
+    # NaN passed every `x <= 0` test: a NaN step leaked a raw ValueError
+    # from round(), a NaN duration failed later in run_closed_loop, and a
+    # NaN or negative noise level ran as no noise
+    with pytest.raises(ValidationError):
+        SimConfig(**settings)
+
+
 @pytest.mark.parametrize("extra", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
 def test_step_plant_rejects_wrong_extra_wrench_shape(extra):
     # a one-value wrench used to broadcast onto both axes
@@ -202,6 +214,15 @@ def test_run_closed_loop_rejects_wrong_disturbance_shape(disturbance):
     with pytest.raises(ValidationError):
         run_closed_loop(model, gains, con, Trajectory.hold(planar3_pose()),
                         sim)
+
+
+@pytest.mark.parametrize("twist", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_run_closed_loop_rejects_wrong_initial_twist_shape(twist):
+    model, con, gains = closed_loop_setup()
+    sim = SimConfig(duration=0.01, dt_physics=1e-3)
+    with pytest.raises(ValidationError):
+        run_closed_loop(model, gains, con, Trajectory.hold(planar3_pose()),
+                        sim, initial_twist=twist)
 
 
 def closed_loop_setup(min_tension=0.5):
@@ -253,6 +274,35 @@ def test_brake_on_unreachable_trajectory():
     assert trace.brake[-1]
     assert sum(trace.brake) == 1   # run stops at the braking tick
     assert len(trace) < 4000
+    # the braking tick has its pose estimate but no forces (columns 9-11)
+    # or tensions (12-14)
+    np.testing.assert_array_equal(np.flatnonzero(np.isnan(trace.table)),
+                                  (len(trace) - 1) * 16 + np.arange(9, 15))
+    assert trace.accel_cmd.shape == (len(trace), 2)
+    assert np.isfinite(trace.accel_cmd).all()
+
+
+def test_trace_log_table_views_and_shape_checks():
+    empty = TraceLog(manifold_dim=2, actuator_count=3)
+    assert len(empty) == 0
+    assert empty.table.shape == (0, 16) and empty.accel_cmd.shape == (0, 2)
+    table = np.arange(3 * 16, dtype=float).reshape(3, 16)
+    trace = TraceLog(manifold_dim=2, actuator_count=3, table=table)
+    np.testing.assert_array_equal(trace.t, table[:, 0])
+    np.testing.assert_array_equal(trace.pose, table[:, 1:3])
+    np.testing.assert_array_equal(trace.modal_errors(), table[:, 7:9])
+    np.testing.assert_array_equal(trace.tensions, table[:, 12:15])
+    np.testing.assert_array_equal(trace.brake, table[:, 15])
+    assert np.isnan(trace.accel_cmd).all()
+    assert trace.accel_cmd.shape == (3, 2)
+    trace.pose_error[1] = [-1.0, -2.0]        # views write through
+    np.testing.assert_array_equal(trace.table[1, 5:7], [-1.0, -2.0])
+    for bad in (np.zeros((3, 15)), np.zeros((3, 17)), np.zeros(16)):
+        with pytest.raises(ValueError):
+            TraceLog(manifold_dim=2, actuator_count=3, table=bad)
+    with pytest.raises(ValueError):
+        TraceLog(manifold_dim=2, actuator_count=3, table=table,
+                 accel_cmd=np.zeros((2, 2)))
 
 
 def test_disturbance_steady_state_offset():
@@ -334,17 +384,9 @@ def test_measurement_noise_is_seeded_and_stable():
 
 
 def test_tracking_metrics_zero_trace():
-    trace = TraceLog(manifold_dim=2, actuator_count=3)
-    for k in range(5):
-        trace.t.append(k * 1e-3)
-        trace.pose.append(np.zeros(2))
-        trace.ref_pose.append(np.zeros(2))
-        trace.pose_error.append(np.zeros(2))
-        trace.modal_error.append(np.zeros(2))
-        trace.forces_cmd.append(np.zeros(3))
-        trace.tensions.append(np.zeros(3))
-        trace.brake.append(False)
-        trace.accel_cmd.append(np.zeros(2))
+    table = np.zeros((5, 1 + 4 * 2 + 2 * 3 + 1))
+    table[:, 0] = np.arange(5) * 1e-3
+    trace = TraceLog(manifold_dim=2, actuator_count=3, table=table)
     metrics = tracking_metrics(trace)
     assert metrics.max_error == 0.0
     assert metrics.rms_error == 0.0
@@ -371,15 +413,8 @@ def test_settling_time_edge_cases():
 
 
 def test_metrics_count_brake_rows():
-    trace = TraceLog(manifold_dim=1, actuator_count=1)
-    for k, brake in enumerate([False, False, True]):
-        trace.t.append(k * 1e-3)
-        trace.pose.append(np.zeros(1))
-        trace.ref_pose.append(np.zeros(1))
-        trace.pose_error.append(np.zeros(1))
-        trace.modal_error.append(np.zeros(1))
-        trace.forces_cmd.append(np.zeros(1))
-        trace.tensions.append(np.zeros(1))
-        trace.brake.append(brake)
-        trace.accel_cmd.append(np.zeros(1))
+    table = np.zeros((3, 1 + 4 * 1 + 2 * 1 + 1))
+    table[:, 0] = np.arange(3) * 1e-3
+    table[:, -1] = [0.0, 0.0, 1.0]
+    trace = TraceLog(manifold_dim=1, actuator_count=1, table=table)
     assert tracking_metrics(trace).brake_events == 1

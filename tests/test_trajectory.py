@@ -4,6 +4,7 @@ import pytest
 from paractl import (EuclideanPose, ParseError, RigidPose, Segment,
                      Trajectory, ValidationError, load_trajectory,
                      pose_difference, retract)
+from paractl.system import ReferenceSample
 from paractl.trajectory import trajectory_from_dict
 
 
@@ -123,6 +124,16 @@ def test_csv_trajectory_requires_increasing_time(tmp_path):
         load_trajectory(str(path), rigid=False, dim=1)
 
 
+def test_sampled_trajectory_requires_increasing_time():
+    # the row search assumes sorted times; unsorted rows used to be
+    # interpolated between whichever rows a linear scan met first
+    rows = [ReferenceSample(EuclideanPose([x]), np.zeros(1), np.zeros(1),
+                            time=t) for t, x in ((0.0, 0.0), (2.0, 2.0),
+                                                 (1.0, 5.0), (3.0, 3.0))]
+    with pytest.raises(ValidationError):
+        Trajectory(rows[0].pose, samples=rows)
+
+
 def test_csv_trajectory_rejects_inconsistent_rates(tmp_path):
     rows = ["t,pose_1,vel_1,acc_1"]
     for t in np.linspace(0.0, 1.0, 11):
@@ -139,3 +150,40 @@ def test_json_trajectory_parse_error(tmp_path):
     with pytest.raises(ParseError) as err:
         load_trajectory(str(path), rigid=False, dim=2)
     assert "line" in str(err.value)
+
+
+def _scan_sample(rows, t):
+    """Reference sampler: the bracketing rows found by a linear scan."""
+    if t <= rows[0].time:
+        return rows[0].pose.coords, rows[0].velocity, rows[0].accel
+    if t >= rows[-1].time:
+        d = rows[-1].velocity.size
+        return rows[-1].pose.coords, np.zeros(d), np.zeros(d)
+    hi = next(i for i, r in enumerate(rows) if r.time >= t)
+    a, b = rows[hi - 1], rows[hi]
+    w = (t - a.time) / (b.time - a.time)
+    pose = retract(a.pose, w * pose_difference(a.pose, b.pose))
+    return (pose.coords, (1 - w) * a.velocity + w * b.velocity,
+            (1 - w) * a.accel + w * b.accel)
+
+
+def test_csv_trajectory_sampling_matches_linear_scan(tmp_path):
+    rng = np.random.default_rng(11)
+    ts = np.cumsum(rng.uniform(1e-3, 2e-2, 300))
+    rows = ["t,pose_1,pose_2"]
+    for t in ts:
+        rows.append(f"{t:.17g},{np.sin(3 * t):.17g},{np.cos(2 * t):.17g}")
+    path = tmp_path / "traj.csv"
+    path.write_text("\n".join(rows) + "\n")
+    traj = load_trajectory(str(path), rigid=False, dim=2)
+    times = [r.time for r in traj.samples]
+    mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
+    probes = times + mids + [times[0] - 1.0, times[-1] + 1.0,
+                             float(np.nextafter(times[0], np.inf)),
+                             float(np.nextafter(times[-1], -np.inf))]
+    for t in probes:
+        got = traj.sample(t)
+        pose, vel, acc = _scan_sample(traj.samples, t)
+        np.testing.assert_array_equal(got.pose.coords, pose)
+        np.testing.assert_array_equal(got.velocity, vel)
+        np.testing.assert_array_equal(got.accel, acc)
