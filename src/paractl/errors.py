@@ -30,7 +30,7 @@ class NumericBlowup(ParactlError):
 
 
 class ParseError(ParactlError):
-    """A config or trajectory file could not be parsed."""
+    """A config, trajectory or trace file could not be parsed."""
 
 
 class ValidationError(ParactlError):

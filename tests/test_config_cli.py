@@ -1,4 +1,7 @@
+import filecmp
 import json
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -271,3 +274,88 @@ def test_write_trace_deterministic(tmp_path):
     write_trace(trace, str(a))
     write_trace(trace, str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_trace_rewrite_matches_fresh_write(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(make_trace(rows=50), str(path))
+    write_trace(make_trace(rows=5), str(path))
+    fresh = tmp_path / "fresh.csv"
+    write_trace(make_trace(rows=5), str(fresh))
+    # no stale tail of the longer first trace
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_write_trace_follows_symlink(tmp_path):
+    target = tmp_path / "target.csv"
+    write_trace(make_trace(rows=20), str(target))
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_trace(make_trace(rows=2), str(link))
+    assert link.is_symlink()
+    fresh = tmp_path / "fresh.csv"
+    write_trace(make_trace(rows=2), str(fresh))
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_write_trace_keeps_mode_and_hard_links(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(make_trace(rows=20), str(path))
+    path.chmod(0o600)
+    alias = tmp_path / "alias.csv"
+    alias.hardlink_to(path)
+    write_trace(make_trace(rows=2), str(path))
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert alias.stat().st_ino == path.stat().st_ino
+    assert alias.read_bytes() == path.read_bytes()
+
+
+def test_write_trace_new_file_mode_is_open_default(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(make_trace(), str(path))
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w"):
+        pass
+    assert path.stat().st_mode == plain.stat().st_mode
+
+
+def test_write_trace_path_errors_unchanged(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        write_trace(make_trace(), str(tmp_path))
+    with pytest.raises(FileNotFoundError):
+        write_trace(make_trace(), str(tmp_path / "missing" / "trace.csv"))
+    # a device cannot be cut to length, and need not be
+    write_trace(make_trace(), os.devnull)
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], 3),
+    (lambda lines: lines[:2] + [lines[2] + ",0"] + lines[3:], 3),
+    (lambda lines: lines[:3] + ["abc," + lines[3].split(",", 1)[1]], 4),
+    (lambda lines: [lines[0]] + [row.rsplit(",", 1)[0] for row in lines[1:]],
+     2),
+    (lambda lines: [lines[0].rsplit(",", 1)[0]] + lines[1:], 1),
+    (lambda lines: [], 1),
+], ids=["short_row", "extra_field", "non_numeric", "every_row_short",
+        "header_short", "empty_file"])
+def test_read_trace_malformed_raises_parse_error(tmp_path, edit, line):
+    path = tmp_path / "trace.csv"
+    write_trace(make_trace(), str(path))
+    lines = edit(path.read_text().splitlines())
+    path.write_text("".join(row + "\n" for row in lines))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line {line}:")):
+        read_trace(str(path))
+
+
+def test_cli_simulate_rewrites_shorter_trace_in_place(tmp_path, capsys):
+    def simulate(out, duration):
+        assert run_command(["simulate", "--config", PLANAR3,
+                            "--trajectory", MOVE, "--out", str(out),
+                            "--duration", duration]) == 0
+
+    out = tmp_path / "run.csv"
+    simulate(out, "0.2")
+    simulate(out, "0.1")
+    fresh = tmp_path / "fresh.csv"
+    simulate(fresh, "0.1")
+    assert filecmp.cmp(out, fresh, shallow=False)
