@@ -36,7 +36,8 @@ from .actuator import ActuatorModel
 from .errors import DegenerateGeometry, SingularMass, ValidationError
 from .kinematics import (FD_STEP, EuclideanPose, Pose, RigidPose,
                          RobotGeometry, _hat, _rigid_cable_vectors,
-                         _rigid_curvature, _rigid_rows, gram_matrix, jacobian,
+                         _rigid_curvature, _rigid_rows, _spd_solve,
+                         gram_matrix, jacobian,
                          jacobian_directional_derivative, retract,
                          so3_left_jacobian)
 
@@ -225,11 +226,13 @@ def _velocity_bias(slabs: np.ndarray, twist: np.ndarray) -> np.ndarray:
 
 
 def _solve_mass(mass: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """M^{-1} rhs; SingularMass when M is singular."""
-    try:
-        return np.linalg.solve(mass, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMass("mass matrix is singular") from exc
+    """M^{-1} rhs by Cholesky (`kinematics._spd_solve`), which reads one
+    triangle of M; SingularMass when M is not positive definite (a zero,
+    singular or indefinite mass)."""
+    accel = _spd_solve(mass, rhs)
+    if accel is None:
+        raise SingularMass("mass matrix is not positive definite")
+    return accel
 
 
 @lru_cache(maxsize=None)

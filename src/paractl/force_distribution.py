@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (InfeasibleWrench, NoConvergence, RankDeficient,
                      ValidationError)
+from .kinematics import _spd_solve
 
 RESIDUAL_TOL = 1e-8
 MAX_ACTIVE_SET_ITERS = 200
@@ -30,14 +31,15 @@ MAX_ACTIVE_SET_ITERS = 200
 
 def _small_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solve sized for a handful of actuators: normal
-    equations when well posed, SVD fallback otherwise."""
+    equations by Cholesky when they factor, SVD fallback otherwise."""
     m, n = a.shape
-    try:
-        if n <= m:
-            return np.linalg.solve(a.T @ a, a.T @ b)
-        return a.T @ np.linalg.solve(a @ a.T, b)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
+    if n <= m:
+        x = _spd_solve(a.T @ a, a.T @ b)
+    else:
+        x = _spd_solve(a @ a.T, b)
+        if x is not None:
+            x = a.T @ x
+    return np.linalg.lstsq(a, b, rcond=None)[0] if x is None else x
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,11 @@ def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     zero first (that bound is dropped, and p is approached again).  A
     working set that already holds n normals admits no primal step, so
     if no multiplier falls either, p cannot be reached: the certificate
-    of infeasibility.
+    of infeasibility.  A normal dependent on the working set to rounding
+    (|z|^2 <= 1e-12, e.g. the last copy of a duplicated cable row) admits
+    no primal step either.  Should rounding still add one, the free rows
+    lose rank and their gram no longer factors: that add stood in for the
+    certificate, so it raises InfeasibleWrench too.
     """
     n, d = jac.shape
     status = np.zeros(n, dtype=int)
@@ -148,7 +154,10 @@ def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         while True:
             free = np.flatnonzero(status == 0)
             bound = np.flatnonzero(status)
-            y = np.linalg.solve(jac[free].T @ jac[free], jac[p])
+            y = _spd_solve(jac[free].T @ jac[free], jac[p])
+            if y is None:
+                raise InfeasibleWrench("wrench outside the achievable set "
+                                       "(working set lost rank)")
             r = -side * status[bound] * (jac[bound] @ y)
             falling = np.flatnonzero(r > 0)
             t_drop, drop = np.inf, -1
@@ -156,9 +165,9 @@ def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 ratios = mult[bound[falling]] / r[falling]
                 k = int(np.argmin(ratios))
                 t_drop, drop = ratios[k], bound[falling[k]]
-            reach = 1.0 - jac[p] @ y  # |z|^2, zero when n normals are held
+            reach = 1.0 - jac[p] @ y  # |z|^2 in [0, 1], zero when dependent
             t_add = side * (f[p] - target) / reach \
-                if free.size > d and reach > 0.0 else np.inf
+                if free.size > d and reach > 1e-12 else np.inf
             if t_add == t_drop == np.inf:
                 raise InfeasibleWrench("wrench outside the achievable set")
             if changes == MAX_ACTIVE_SET_ITERS:
@@ -199,13 +208,19 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
     that passes the KKT check is returned as is, and an unconstrained
     least-norm point inside the box needs no search; a stale hint is
     harmless.  Otherwise the dual active-set method runs from that point
-    (see the module docstring).  It raises InfeasibleWrench on its own
-    certificate, a violated bound that neither a primal step nor a drop
-    can reach, and NoConvergence when its adds plus drops reach
-    MAX_ACTIVE_SET_ITERS.  The final working set is re-solved once to
-    remove the rounding the iteration accumulated.  A NaN or infinite
-    entry in `jac`, `wrench`, `command_offset` or `no_load` raises
-    ValidationError naming the argument.
+    (see the module docstring).  The final working set is re-solved once
+    to remove the rounding the iteration accumulated.  Every solve is a
+    Cholesky solve of a small gram (`kinematics._spd_solve`).
+
+    A NaN or infinite entry in `jac`, `wrench`, `command_offset` or
+    `no_load` raises ValidationError naming the argument; a jacobian of
+    deficient column rank, or whose gram does not factor, RankDeficient.
+    InfeasibleWrench means an empty force box, the method's own
+    certificate (a violated bound that neither a primal step nor a drop
+    can reach), or a working set whose free rows lost rank to rounding
+    (parallel cable rows), in the loop or at the final re-solve, which
+    stands in for that certificate.  NoConvergence means the adds plus
+    drops reached MAX_ACTIVE_SET_ITERS.
     """
     arrays = [np.asarray(value, float)
               for value in (jac, wrench, command_offset, no_load)]
@@ -230,14 +245,25 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
         if guess is not None:
             return guess
     # no bound active: the unconstrained least-norm solution settles it
-    free_ln = jac @ np.linalg.solve(gram, wrench)
+    weights = _spd_solve(gram, wrench)
+    if weights is None:
+        raise RankDeficient("jacobian gram does not factor")
+    free_ln = jac @ weights
     if np.all(free_ln >= lo - 1e-12) and np.all(free_ln <= hi + 1e-12):
         return np.clip(free_ln, lo, hi)
     status = _dual_active_set(jac, lo, hi, free_ln.copy())
     f = np.where(status == 1, hi, lo)
     free = status == 0
     rhs = wrench - jac[~free].T @ f[~free]
-    f[free] = jac[free] @ np.linalg.solve(jac[free].T @ jac[free], rhs)
+    weights = _spd_solve(jac[free].T @ jac[free], rhs)
+    if weights is not None:
+        f[free] = jac[free] @ weights
+    # a working set whose free rows lost rank to a rounding-level add
+    # cannot realize the wrench: the certificate it stood in for
+    if weights is None or np.abs(jac.T @ f - wrench).max() > \
+            RESIDUAL_TOL * (1.0 + np.abs(f).max()):
+        raise InfeasibleWrench("wrench outside the achievable set "
+                               "(final working set lost rank)")
     return np.clip(f, lo, hi)
 
 

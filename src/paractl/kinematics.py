@@ -12,12 +12,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .errors import (DegenerateGeometry, NoConvergence, RankDeficient,
                      ValidationError)
 
 FD_STEP = 1e-6
 MIN_CABLE_LENGTH = 1e-12
+
+
+def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x with a x = b for a symmetric positive-definite `a`, from one
+    LAPACK Cholesky solve (dposv), or None when the factorization fails.
+
+    Only one triangle of `a` is read, so a matrix symmetric only to
+    rounding is solved as its symmetric part, to rounding.  A tiny solve
+    costs a fraction of a general LU solve's dispatch.
+    """
+    _, x, info = dposv(a, b)
+    return x if info == 0 else None
 
 
 # --------------------------------------------------------------------------
@@ -365,9 +378,11 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
 
     Damped Gauss-Newton on the over-determined residual: with more
     actuators than pose freedoms the measured values are generally not
-    exactly realizable, so the least-squares pose is returned.  Damping
+    exactly realizable, so the least-squares pose is returned.  Each step
+    solves the normal equations J^T J + damping I by Cholesky.  Damping
     starts at 1e-10 and grows tenfold whenever a step fails to reduce the
-    residual.
+    residual or the factorization fails; past 1e8 FK raises RankDeficient,
+    and NoConvergence after `max_iters` accepted steps.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape != (geom.actuator_count,):
@@ -388,14 +403,16 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
         hess = jac.T @ jac
         eye = np.eye(hess.shape[0])
         while True:
-            step = np.linalg.solve(hess + damping * eye, -grad)
-            candidate = retract(pose, step)
-            cand_res = inverse_kinematics(geom, candidate) - lengths
-            cand_cost = cand_res @ cand_res
-            if cand_cost <= cost * (1.0 + 1e-14) + 1e-300:
-                pose, residual, cost = candidate, cand_res, cand_cost
-                damping = max(damping / 10.0, 1e-12)
-                break
+            step = _spd_solve(hess + damping * eye, -grad)
+            if step is not None:
+                candidate = retract(pose, step)
+                cand_res = inverse_kinematics(geom, candidate) - lengths
+                cand_cost = cand_res @ cand_res
+                if cand_cost <= cost * (1.0 + 1e-14) + 1e-300:
+                    pose, residual, cost = candidate, cand_res, cand_cost
+                    damping = max(damping / 10.0, 1e-12)
+                    break
+            # a rejected step or a failed factorization: damp harder
             damping *= 10.0
             if damping > 1e8:
                 raise RankDeficient(

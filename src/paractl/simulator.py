@@ -35,7 +35,7 @@ from .dynamics import (RobotModel, _potential_gradient, _solve_mass,
                        rigid_pose_tables)
 from .errors import NumericBlowup, ValidationError
 from .kinematics import (EuclideanPose, Pose, RigidPose, inverse_kinematics,
-                         pose_to_chart, quat_multiply, quat_normalize)
+                         pose_to_chart, quat_normalize)
 from .force_distribution import ForceConstraints
 from .system import ControllerGains, SystemControllerState, control_step
 from .trajectory import Trajectory
@@ -168,7 +168,13 @@ def _derivative(model: RobotModel, y: np.ndarray, forces_cmd: np.ndarray,
         pose = RigidPose(y[:3], q)
         rows, mass, gyro, curve = rigid_pose_tables(model, pose, twist)
         out[:3] = twist[:3]
-        out[3:7] = 0.5 * quat_multiply((0.0, *twist[3:].tolist()), q.tolist())
+        # q' = 0.5 (0, w) * q, products and order as quat_multiply's
+        qw, qx, qy, qz = q.tolist()
+        wx, wy, wz = twist[3:].tolist()
+        out[3:7] = (0.5 * (-wx * qx - wy * qy - wz * qz),
+                    0.5 * (wx * qw + wy * qz - wz * qy),
+                    0.5 * (-wx * qz + wy * qw + wz * qx),
+                    0.5 * (wx * qy - wy * qx + wz * qw))
         d, head = 6, 7
     else:
         d = head = model.manifold_dim

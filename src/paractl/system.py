@@ -34,10 +34,10 @@ from .actuator import (ActuatorModel, ControllerGains, closed_loop_poles,
 from .dynamics import (RobotModel, _potential_gradient, _rigid_bias,
                        modal_decomposition, modal_masses, no_load_forces,
                        point_mass_tables, rigid_pose_tables)
-from .errors import ParactlError
+from .errors import ParactlError, RankDeficient
 from .force_distribution import (ForceConstraints, active_pattern, distribute)
-from .kinematics import (EuclideanPose, Pose, forward_kinematics, jacobian,
-                         manifold_dim, pose_difference)
+from .kinematics import (EuclideanPose, Pose, _spd_solve, forward_kinematics,
+                         jacobian, manifold_dim, pose_difference)
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,17 @@ def finite_difference_stack(history, dt: float, order: int) -> np.ndarray:
 
 def _estimate_twist(jac: np.ndarray, length_history, lengths: np.ndarray,
                     dt: float) -> np.ndarray:
-    """Damped least-squares twist from backward differences of the values."""
+    """Damped least-squares twist from backward differences of the values;
+    RankDeficient when the damped gram does not factor."""
     if not length_history:
         return np.zeros(jac.shape[1])
     rates = (lengths - length_history[-1]) / dt
     gram = jac.T @ jac
     damped = gram + 1e-12 * np.trace(gram) * np.eye(gram.shape[0])
-    return np.linalg.solve(damped, jac.T @ rates)
+    twist = _spd_solve(damped, jac.T @ rates)
+    if twist is None:
+        raise RankDeficient("twist-estimate normal equations do not factor")
+    return twist
 
 
 def control_step(model: RobotModel, gains: ControllerGains,

@@ -2,9 +2,11 @@
 
 Everything here deliberately takes a different route from the library:
 global-chart Euler-Lagrange differences instead of the exponential-chart
-expansion, exhaustive bound-pattern enumeration instead of the active-set
-walk, plain-sign Routh-Hurwitz instead of eigenvalues, and eigenvalues of
-the closed-loop state matrix instead of characteristic-polynomial roots.
+expansion, exhaustive bound-pattern enumeration or, with two more
+actuators than freedoms, the nearest point of a polygon in the null-space
+plane instead of the active-set walk, plain-sign Routh-Hurwitz instead of
+eigenvalues, and eigenvalues of the closed-loop state matrix instead of
+characteristic-polynomial roots.
 """
 from itertools import product
 
@@ -46,6 +48,49 @@ def kkt_enumeration(jac, wrench, lo, hi, residual_tol=1e-8):
         if norm < best_norm - 1e-12:
             best, best_norm = f, norm
     return best
+
+
+def null_plane_least_norm(jac, wrench, lo, hi, tol=1e-9):
+    """Minimum-norm force for J^T f = wrench inside [lo, hi] when J^T has a
+    2-D null space (n = d + 2 actuators, e.g. cube8's 8 cables on 6
+    freedoms); None when no force is admissible.
+
+    With f0 the least-norm solution and N an orthonormal null-space basis
+    (both from the SVD), f = f0 + N lam and |f|^2 = |f0|^2 + |lam|^2, and
+    the 2n bounds become half-planes a . lam <= b.  The point of that
+    polygon nearest the origin is the origin, the foot of the
+    perpendicular on an edge line, or a vertex: every candidate is tried
+    and the admissible one of least norm kept.  A 2n-line polygon costs
+    O(n^2) candidates where the enumeration tries 3^n patterns.
+    """
+    jac = np.asarray(jac, float)
+    n, d = jac.shape
+    left, singulars, _ = np.linalg.svd(jac)
+    assert n == d + 2 and singulars[-1] > 1e-9 * singulars[0]
+    null = left[:, d:]
+    f0 = np.linalg.lstsq(jac.T, wrench, rcond=None)[0]
+    normals = np.vstack([null, -null])
+    offsets = np.concatenate([hi - f0, f0 - lo])
+    keep = np.isfinite(offsets)
+    normals, offsets = normals[keep], offsets[keep]
+    sizes2 = np.einsum("ij,ij->i", normals, normals)
+    lines = sizes2 > 1e-24          # a cable whose force the plane moves
+    feet = offsets[lines, None] * normals[lines] / sizes2[lines, None]
+    i, j = np.triu_indices(len(offsets), 1)
+    det = normals[i, 0] * normals[j, 1] - normals[i, 1] * normals[j, 0]
+    cross = np.abs(det) > 1e-12
+    i, j, det = i[cross], j[cross], det[cross]
+    vertices = np.stack([
+        (offsets[i] * normals[j, 1] - offsets[j] * normals[i, 1]) / det,
+        (normals[i, 0] * offsets[j] - normals[j, 0] * offsets[i]) / det],
+        axis=1)
+    cands = np.vstack([np.zeros((1, 2)), feet, vertices])
+    admissible = np.all(cands @ normals.T <= offsets + tol, axis=1)
+    if not admissible.any():
+        return None
+    cands = cands[admissible]
+    best = cands[np.argmin(np.einsum("ij,ij->i", cands, cands))]
+    return f0 + null @ best
 
 
 def bounds_from_constraints(con, command_offset, no_load):

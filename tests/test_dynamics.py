@@ -15,9 +15,9 @@ from paractl import (DegenerateGeometry, EuclideanPose, InertialParams,
                      forward_dynamics, jacobian, load_config, mass_matrix,
                      modal_decomposition, modal_masses, no_load_forces,
                      total_energy)
-from paractl.dynamics import point_mass_tables
-from paractl.kinematics import (gram_matrix, quat_from_rotation_vector,
-                                quat_normalize)
+from paractl.dynamics import point_mass_tables, rigid_pose_tables
+from paractl.kinematics import (_spd_solve, gram_matrix,
+                                quat_from_rotation_vector, quat_normalize)
 from paractl.simulator import PlantState, step_plant
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -197,6 +197,87 @@ def test_forward_dynamics_inverts_equations_of_motion(twist, accel):
     wrench = mass_matrix(model, pose) @ accel + bias_force(model, pose, twist)
     np.testing.assert_allclose(forward_dynamics(model, pose, twist, wrench),
                                accel, atol=1e-10)
+
+
+def _spd_systems(model, pose, rng):
+    """The positive-definite systems the library solves at one state: the
+    mass (from the plant's tables), FK's damped normal matrix and the
+    twist estimate's damped gram, each with a random right-hand side."""
+    d = model.manifold_dim
+    twist = rng.normal(size=d)
+    if isinstance(pose, RigidPose):
+        rows, mass, *_ = rigid_pose_tables(model, pose, twist)
+    else:
+        rows, mass, _ = point_mass_tables(model, pose.coords, twist)
+    gram = rows.T @ rows
+    return [mass, gram + 1e-10 * np.eye(d),
+            gram + 1e-12 * np.trace(gram) * np.eye(d)]
+
+
+def test_spd_solve_matches_general_solve():
+    # two backward-stable solves differ by at most a small multiple of
+    # cond(a) eps: below 1e-15 relative for the masses, up to ~4e-12 for
+    # cube8's normal matrices (cond ~5e5).  The rigid mass holds R I R^T,
+    # symmetric only to rounding, while the Cholesky solve reads one
+    # triangle: the answers still agree
+    rng = np.random.default_rng(1101)
+    cube8 = cube8_model()
+    planar = RobotModel(
+        RobotGeometry.point_mass([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]]),
+        InertialParams(body_mass=1.0, gravity=[0.0, -9.81],
+                       actuator_mass=0.1))
+    states = [(cube8, pose) for pose in random_rigid_poses(rng, 100)]
+    states += [(planar, pose) for pose in random_planar_poses(rng, 100)]
+    asymmetric = 0
+    for model, pose in states:
+        for a in _spd_systems(model, pose, rng):
+            asymmetric += not np.array_equal(a, a.T)
+            b = rng.normal(size=a.shape[0])
+            ref = np.linalg.solve(a, b)
+            x = _spd_solve(a, b)
+            bound = 10.0 * np.linalg.cond(a) * np.finfo(float).eps
+            assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+    assert asymmetric > 0
+
+
+@pytest.mark.parametrize("a", [np.zeros((2, 2)), np.diag([1.0, -1.0]),
+                               np.array([[1.0, 2.0], [2.0, 1.0]])],
+                         ids=["zero", "negative", "indefinite"])
+def test_spd_solve_reports_failed_factorization(a):
+    assert _spd_solve(a, np.ones(2)) is None
+
+
+def _bad_mass_models():
+    planar = RobotGeometry.point_mass([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
+    inertia = np.diag([0.02, 0.025, 0.03])
+    return {
+        "planar_zero": (RobotModel(planar, InertialParams(
+            body_mass=0.0, gravity=[0.0, -9.81], actuator_mass=0.0)),
+            planar3_pose()),
+        "planar_indefinite": (RobotModel(planar, InertialParams(
+            body_mass=-1.0, gravity=[0.0, -9.81], actuator_mass=0.1)),
+            planar3_pose()),
+        "cube8_zero": (RobotModel(cube8_geometry(), InertialParams(
+            body_mass=0.0, gravity=[0, 0, -9.81], inertia=0.0 * inertia,
+            actuator_mass=0.0)), cube8_home()),
+        "cube8_indefinite": (RobotModel(cube8_geometry(), InertialParams(
+            body_mass=5.0, gravity=[0, 0, -9.81],
+            inertia=inertia * [1.0, -1.0, 1.0], actuator_mass=0.05)),
+            cube8_home()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bad_mass_models()))
+def test_non_positive_definite_mass_raises_singular_mass(name):
+    # a zero mass is singular; an indefinite one is invertible, but not a
+    # mass: both are refused by the Cholesky solve, in the plant as well
+    model, pose = _bad_mass_models()[name]
+    d = model.manifold_dim
+    with pytest.raises(SingularMass):
+        forward_dynamics(model, pose, np.zeros(d), np.ones(d))
+    with pytest.raises(SingularMass):
+        step_plant(model, PlantState(pose, np.zeros(d)),
+                   np.ones(model.actuator_count), 1e-3)
 
 
 def test_modal_single_actuator_scalar_case():

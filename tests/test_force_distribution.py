@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import planar3_pose
-from oracles import bounds_from_constraints, kkt_enumeration
+from oracles import (bounds_from_constraints, kkt_enumeration,
+                     null_plane_least_norm)
 from paractl import (ForceConstraints, InfeasibleWrench, NoConvergence,
                      RankDeficient, ValidationError, distribute,
                      force_distribution, in_constraint_set, jacobian,
@@ -206,47 +207,145 @@ def test_enlarging_command_limit_keeps_feasibility(f_max, factor):
                                bigger)
 
 
-def _cube8_static_problem(seed, index):
-    """Cold cube8 pose `index` of a seeded uniform draw over the workspace
-    box and +-0.3 rad rotation vectors, with its static bias wrench."""
+def _cube8_static_problems(seed):
+    """The 500 cold cube8 poses of a seeded uniform draw over the workspace
+    box and +-0.3 rad rotation vectors, each as (jacobian, static bias
+    wrench), with the config's constraints."""
     from paractl import RigidPose, bias_force, load_config
     from paractl.kinematics import quat_from_rotation_vector
     cfg = load_config(Path(__file__).parent.parent / "configs" / "cube8.json")
     rng = np.random.default_rng(seed)
     positions = rng.uniform(cfg.workspace_min, cfg.workspace_max, (500, 3))
     rotvecs = rng.uniform(-0.3, 0.3, (500, 3))
-    pose = RigidPose(positions[index],
-                     quat_from_rotation_vector(rotvecs[index]))
-    jac = jacobian(cfg.model.geometry, pose)
-    wrench = bias_force(cfg.model, pose, np.zeros(6))
-    return jac, wrench, cfg.constraints
+    problems = []
+    for position, rotvec in zip(positions, rotvecs):
+        pose = RigidPose(position, quat_from_rotation_vector(rotvec))
+        problems.append((jacobian(cfg.model.geometry, pose),
+                         bias_force(cfg.model, pose, np.zeros(6))))
+    return problems, cfg.constraints
 
 
-@pytest.mark.parametrize("seed, indices", [
-    ([3, 4], [250]),
-    ([5, 0], [264]),
-    ([9, 0], range(100)),
-], ids=["pose_3_4_250", "pose_5_0_264", "batch_9_0"])
-def test_distribute_cube8_matches_enumeration(seed, indices):
+def _assert_matches(ref, jac, wrench, offset, no_load, con, hint=None):
+    """distribute agrees with a reference optimum, or raises
+    InfeasibleWrench where the reference found no admissible force."""
+    if ref is None:
+        with pytest.raises(InfeasibleWrench):
+            distribute(jac, wrench, offset, no_load, con, pattern_hint=hint)
+        return
+    f = distribute(jac, wrench, offset, no_load, con, pattern_hint=hint)
+    np.testing.assert_allclose(f, ref, atol=1e-6)
+    assert np.max(np.abs(jac.T @ f - wrench)) <= 1e-8
+    assert in_constraint_set(con, f, offset, no_load)
+
+
+@pytest.mark.parametrize("seed, index", [([3, 4], 250), ([5, 0], 264)],
+                         ids=["pose_3_4_250", "pose_5_0_264"])
+def test_distribute_cube8_matches_enumeration(seed, index):
     # 8 cables, 6 DOF: the optimum can hold two bounds, and infeasible
     # wrenches must be certified, which the planar cases barely exercise.
     # [3, 4]/250 is feasible by a margin of only 0.06 N and its optimum is
     # reached after a bound drop; at [5, 0]/264 the free least-norm point
     # violates three bounds but only two are active at the optimum
-    # (|f| = 284.0 N), where a primal walk once stopped at 344.6 N.
+    # (|f| = 284.0 N), where a primal walk once stopped at 344.6 N.  The
+    # enumeration also checks the null-plane oracle used on the batches.
+    problems, con = _cube8_static_problems(seed)
+    jac, wrench = problems[index]
     zeros = np.zeros(8)
-    for index in indices:
-        jac, wrench, con = _cube8_static_problem(seed, index)
-        lo, hi = bounds_from_constraints(con, zeros, zeros)
+    lo, hi = bounds_from_constraints(con, zeros, zeros)
+    ref = kkt_enumeration(jac, wrench, lo, hi)
+    plane = null_plane_least_norm(jac, wrench, lo, hi)
+    assert ref is not None and plane is not None
+    np.testing.assert_allclose(plane, ref, atol=1e-8)
+    _assert_matches(ref, jac, wrench, zeros, zeros, con)
+
+
+def test_null_plane_oracle_matches_enumeration_on_random_instances():
+    # n = d + 2 on random 4x2 and 5x3 jacobians, feasible and not
+    rng = np.random.default_rng(1103)
+    verdicts = set()
+    for _ in range(60):
+        d = int(rng.integers(2, 4))
+        jac = rng.normal(size=(d + 2, d))
+        lo = -rng.uniform(1.0, 6.0, d + 2)
+        hi = rng.uniform(-0.5, 4.0, d + 2)
+        hi[rng.uniform(size=d + 2) < 0.2] = np.inf
+        wrench = jac.T @ rng.uniform(lo, np.minimum(hi, 8.0)) \
+            + rng.normal(0.0, 2.0, d)
         ref = kkt_enumeration(jac, wrench, lo, hi)
-        if ref is None:
-            with pytest.raises(InfeasibleWrench):
-                distribute(jac, wrench, zeros, zeros, con)
+        plane = null_plane_least_norm(jac, wrench, lo, hi)
+        verdicts.add(ref is None)
+        assert (plane is None) == (ref is None)
+        if ref is not None:
+            np.testing.assert_allclose(plane, ref, atol=1e-8)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("variant", ["cold", "offset", "hinted"])
+def test_distribute_cube8_matches_null_plane_oracle(variant):
+    # thousands of cube8 poses against the exact n = d + 2 oracle: cold
+    # from zero offsets (seed [9, 0] holds the 100 poses the enumeration
+    # once checked, in 17 s), with random command offsets and no-load
+    # forces, and with warm-start hints: the previous pose's pattern
+    # (mostly stale) and the oracle's own (which the KKT check accepts)
+    rng = np.random.default_rng(1105)
+    seeds = {"cold": ([9, 0], [11, 0], [14, 0], [15, 0]),
+             "offset": ([12, 0], [16, 0]),
+             "hinted": ([13, 0], [17, 0])}[variant]
+    zeros = np.zeros(8)
+    checked = feasible = 0
+    for seed in seeds:
+        problems, con = _cube8_static_problems(seed)
+        hint = None
+        for jac, wrench in problems:
+            offset, no_load = zeros, zeros
+            if variant == "offset":
+                offset = rng.uniform(-20.0, 20.0, 8)
+                no_load = rng.uniform(-5.0, 15.0, 8)
+            lo, hi = bounds_from_constraints(con, offset, no_load)
+            ref = null_plane_least_norm(jac, wrench, lo, hi)
+            _assert_matches(ref, jac, wrench, offset, no_load, con, hint)
+            if variant == "hinted" and ref is not None:
+                own = active_pattern(con, ref, offset, no_load)
+                _assert_matches(ref, jac, wrench, offset, no_load, con, own)
+                hint = own
+            checked += 1
+            feasible += ref is not None
+    assert checked >= 1000 and 0 < feasible < checked
+
+
+def _duplicated_row_cases(count, seed=0):
+    """Seeded 2-D problems on four cable rows that are two unit rows, each
+    repeated once, so a working set's free rows can lose rank: (jac,
+    wrench, constraints, no_load), zero command offset."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        angles = rng.uniform(-np.pi, np.pi, 2)
+        rows = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        wrench = rng.uniform(-20.0, 20.0, 2)
+        con = ForceConstraints.uniform(4, rng.uniform(0.0, 5.0),
+                                       rng.uniform(5.0, 20.0))
+        yield np.vstack([rows, rows]), wrench, con, \
+            np.full(4, rng.uniform(0.0, 3.0))
+
+
+def test_distribute_duplicated_rows_match_enumeration():
+    # with LU solves and no rank check the force solver once leaked
+    # LinAlgError on ~14% of these and returned forces off the wrench on
+    # ~8%; the enumeration finds all of both infeasible.  Cases 2495 and
+    # 3272 reached the final re-solve with rank-deficient free rows, 34
+    # and 570 the loop's solve
+    zeros = np.zeros(4)
+    picked = set(range(600)) | {2495, 3272}
+    verdicts = set()
+    for k, (jac, wrench, con, no_load) in enumerate(
+            _duplicated_row_cases(max(picked) + 1)):
+        if k not in picked:
             continue
-        f = distribute(jac, wrench, zeros, zeros, con)
-        np.testing.assert_allclose(f, ref, atol=1e-6)
-        assert np.max(np.abs(jac.T @ f - wrench)) <= 1e-8
-        assert in_constraint_set(con, f, zeros, zeros)
+        lo, hi = bounds_from_constraints(con, zeros, no_load)
+        ref = kkt_enumeration(jac, wrench, lo, hi)
+        verdicts.add(ref is None)
+        _assert_matches(ref, jac, wrench, zeros, no_load, con)
+    assert verdicts == {True, False}
 
 
 def test_distribute_reports_iteration_cap(monkeypatch):

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from conftest import (cube8_geometry, cube8_home, planar3_pose,
                       random_planar_poses, random_rigid_poses)
 from paractl import (DegenerateGeometry, EuclideanPose, NoConvergence,
-                     RigidPose, RobotGeometry, actuator_rates,
+                     RankDeficient, RigidPose, RobotGeometry, actuator_rates,
                      forward_kinematics, inverse_kinematics, jacobian,
                      jacobian_directional_derivative, manifold_dim,
                      pose_difference, retract)
+from paractl import kinematics
 from paractl.kinematics import quat_normalize
 
 SQ5 = np.sqrt(5.0)
@@ -195,6 +196,35 @@ def test_fk_no_convergence(planar3_geom):
     with pytest.raises(NoConvergence):
         forward_kinematics(planar3_geom, np.array([SQ5, SQ5, 2.0]),
                            EuclideanPose([150.0, 220.0]), max_iters=3)
+
+
+@pytest.mark.parametrize("failures", [3, None], ids=["some", "every"])
+def test_fk_failed_factorization_damps_harder(planar3_geom, monkeypatch,
+                                              failures):
+    # a normal matrix that does not factor counts as a rejected step: FK
+    # recovers when more damping lets it factor, and otherwise ends in
+    # RankDeficient once the damping passes 1e8, never in LinAlgError
+    solve = kinematics._spd_solve
+    calls = []
+
+    def failing(a, b):
+        calls.append(a)
+        if failures is None or len(calls) <= failures:
+            return None
+        return solve(a, b)
+
+    monkeypatch.setattr(kinematics, "_spd_solve", failing)
+    pose = planar3_pose(2.2, 1.3)
+    lengths = inverse_kinematics(planar3_geom, pose)
+    guess = planar3_pose()
+    if failures is None:
+        with pytest.raises(RankDeficient):
+            forward_kinematics(planar3_geom, lengths, guess)
+        assert len(calls) == 19     # damping 1e-10 up to 1e9, tenfold
+        return
+    sol = forward_kinematics(planar3_geom, lengths, guess)
+    np.testing.assert_allclose(sol.coords, pose.coords, atol=1e-9)
+    assert len(calls) > failures
 
 
 def test_pose_difference_same_pose_is_zero():

@@ -11,7 +11,8 @@ from paractl import (ActuatorModel, EuclideanPose, ForceConstraints,
                      modal_decomposition, pd_gains, run_closed_loop,
                      settling_time, simulate_single_actuator, step_plant,
                      total_energy, tracking_metrics)
-from paractl.simulator import TraceLog
+from paractl.kinematics import quat_multiply
+from paractl.simulator import TraceLog, _derivative
 
 
 def free_model(gravity=(0.0, 0.0), actuator_mass=0.0):
@@ -105,6 +106,21 @@ def test_command_filter_biproper_feedthrough():
     feed, tau = 0.02 / 0.05, 0.05
     v_expected = 0.4 * (0.5 - (1 - feed) * tau * (1 - np.exp(-0.5 / tau)))
     assert ps.twist[0] == pytest.approx(v_expected, rel=1e-4)
+
+
+def test_plant_quaternion_rate_bit_for_bit():
+    # the plant forms q' from floats with quat_multiply's products in its
+    # order, and must give its bits: 0.5 (0, w) * q with q normalized
+    rng = np.random.default_rng(1107)
+    model = cube8_model()
+    out = np.empty(13)
+    for _ in range(2000):
+        y = np.concatenate([[0.0, 0.0, 1.5], rng.normal(size=4),
+                            rng.normal(size=6)])
+        _derivative(model, y, np.zeros(8), None, None, None, out)
+        q = y[3:7] / np.sqrt(y[3:7] @ y[3:7])
+        expected = 0.5 * quat_multiply((0.0, *y[10:13]), q)
+        assert np.array_equal(out[3:7], expected)
 
 
 def test_plant_raises_singular_mass():

@@ -9,7 +9,7 @@ from paractl import (Command, EuclideanPose, ReferenceSample, RobotGeometry,
                      inverse_kinematics, jacobian, mass_matrix,
                      matrix_action, no_load_forces, pd_gains,
                      predicted_modal_response, feedforward_step,
-                     ForceConstraints, force_distribution, retract)
+                     ForceConstraints, force_distribution, retract, system)
 from paractl.actuator import ActuatorModel
 
 
@@ -142,6 +142,47 @@ def test_control_step_brakes_on_reference_at_anchor(planar3_model,
                           state, lengths,
                           hold_reference(EuclideanPose([0.0, 0.0])),
                           "DegenerateGeometry", evaluate_at_reference=True)
+
+
+def test_control_step_brakes_on_parallel_cable_rows(planar3_gains):
+    # two cables share each anchor, so the jacobian rows come in equal
+    # pairs; the hold wrench is infeasible under these limits, and the
+    # force solver's working set once lost rank here and leaked a raw
+    # LinAlgError out of the tick
+    anchors = np.array([[0.0, 3.0], [4.0, 3.0], [0.0, 3.0], [4.0, 3.0]])
+    model = RobotModel(RobotGeometry.point_mass(anchors),
+                       InertialParams(body_mass=1.0, gravity=[0.0, -9.81],
+                                      actuator_mass=0.1),
+                       ActuatorModel.ideal(0.0))
+    con = ForceConstraints.uniform(4, min_tension=1.0, max_command=3.0)
+    pose = planar3_pose(2.4, 1.0)
+    lengths = inverse_kinematics(model.geometry, pose)
+    state = SystemControllerState.initial(planar3_gains, pose)
+    _assert_latched_brake(model, planar3_gains, con, state, lengths,
+                          hold_reference(pose), "InfeasibleWrench")
+
+
+@pytest.mark.parametrize("rigid", [False, True], ids=["planar3", "cube8"])
+def test_control_step_brakes_when_twist_gram_does_not_factor(
+        monkeypatch, planar3_model, planar3_constraints, planar3_gains, rigid):
+    # the twist estimate's damped gram goes through the Cholesky solve once
+    # the tick has a previous reading; a failed factorization brakes
+    monkeypatch.setattr(system, "_spd_solve", lambda a, b: None)
+    if rigid:
+        model, pose = cube8_model(), cube8_home()
+        gains = pd_gains(9.0, 6.0, back_emf=0.0, no_load_mass=0.05)
+        con = ForceConstraints.uniform(8, 1.0, 400.0)
+        ref = ReferenceSample(pose, np.zeros(6), np.zeros(6))
+    else:
+        model, pose = planar3_model, planar3_pose()
+        gains, con = planar3_gains, planar3_constraints
+        ref = hold_reference(pose)
+    lengths = inverse_kinematics(model.geometry, pose)
+    state = SystemControllerState.initial(gains, pose)
+    cmd, state, _ = control_step(model, gains, con, state, lengths, ref, 1e-3)
+    assert not cmd.is_brake         # no previous reading: no estimate yet
+    _assert_latched_brake(model, gains, con, state, lengths, ref,
+                          "RankDeficient")
 
 
 def test_control_step_brakes_on_force_solver_cap(monkeypatch, planar3_model,
