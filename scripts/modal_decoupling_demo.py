@@ -1,74 +1,67 @@
 #!/usr/bin/env python3
 """Show that one set of actuator gains controls the whole parallel robot.
 
-Regulates the planar three-cable robot back to its reference after an
-initial offset, projects the pose error onto the decoupled modes, and
-compares each modal trace against a single actuator carrying that mode's
-modal mass with the *same* gains.  The match is the whole point: tuning
-one actuator tunes the robot, no gain scheduling over the workspace.
+Regulates a configured robot back to its home pose after an initial
+offset, projects the pose error onto the decoupled modes, and compares
+each modal trace against a single actuator carrying that mode's modal
+mass with the *same* gains.  The match is the whole point: tuning one
+actuator tunes the robot, no gain scheduling over the workspace.
 """
 import argparse
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from paractl import (ActuatorModel, EuclideanPose, ForceConstraints,
-                     InertialParams, RobotGeometry, RobotModel, SimConfig,
-                     Trajectory, modal_decomposition, pd_gains,
-                     predicted_modal_response, run_closed_loop,
-                     settling_time, simulate_single_actuator, write_trace)
+from paractl import modal_regulation, parse_config, write_trace
 
-
-def build_model(back_emf: float) -> RobotModel:
-    geometry = RobotGeometry.point_mass([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
-    inertial = InertialParams(body_mass=1.0, gravity=[0.0, -9.81],
-                              actuator_mass=0.1)
-    return RobotModel(geometry, inertial, ActuatorModel.ideal(back_emf))
+PLANAR3 = Path(__file__).resolve().parent.parent / "configs" / "planar3.json"
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--k0", type=float, default=0.0,
-                        help="back-EMF constant (try 0.5 to split the "
-                             "modal dampings)")
-    parser.add_argument("--offset", type=float, default=0.01)
-    parser.add_argument("--duration", type=float, default=5.0)
+    parser.add_argument("--config", default=str(PLANAR3))
+    parser.add_argument("--k0", type=float, default=None,
+                        help="back-EMF constant for the model and the gains "
+                             "(try 0.5 to split the modal dampings)")
+    parser.add_argument("--offset", default=None,
+                        help="comma-separated tangent vector from home to "
+                             "the start pose")
+    parser.add_argument("--duration", type=float, default=None)
     parser.add_argument("--out", default=None,
                         help="optional trace CSV path")
     args = parser.parse_args()
 
-    model = build_model(args.k0)
-    gains = pd_gains(4.0, 4.0, back_emf=args.k0, no_load_mass=0.1)
-    con = ForceConstraints.uniform(3, min_tension=0.5, max_command=50.0)
-    home = EuclideanPose([2.0, 1.0])
-    start = EuclideanPose([2.0, 1.0]
-                          + args.offset * np.array([np.cos(0.6),
-                                                    np.sin(0.6)]))
-    sim = SimConfig(duration=args.duration, dt_physics=1e-3)
-    trace = run_closed_loop(model, gains, con, Trajectory.hold(home), sim,
-                            initial_pose=start)
+    with open(args.config) as fh:
+        data = json.load(fh)
+    if args.k0 is not None:
+        data["actuator_params"]["k0"] = args.k0
+    cfg = parse_config(data)
+    model = cfg.model
+    offset = 0.01 * np.array([np.cos(0.6), np.sin(0.6)]) \
+        if args.offset is None else np.array(args.offset.split(","), float)
+    if offset.shape != (model.manifold_dim,):
+        parser.error(f"--offset needs {model.manifold_dim} numbers")
+    sim = cfg.sim
+    if args.duration is not None:
+        sim = replace(sim, duration=args.duration)
+
+    trace, matches = modal_regulation(model, cfg.gains, cfg.constraints,
+                                      cfg.home_pose, offset, sim)
     if args.out:
         write_trace(trace, args.out)
         print(f"trace written to {args.out}")
-
-    decomp = modal_decomposition(model, home)
-    responses = predicted_modal_response(model, gains, home)
-    modal = trace.modal_errors()
-    t = trace.times()
-    print(f"robot: 3 cables, 2 pose freedoms; gains kp=4 kd=4 "
-          f"k0={args.k0:g} shared by every actuator")
+    print(f"robot: {model.actuator_count} cables, {model.manifold_dim} pose "
+          f"freedoms; controller {cfg.controller_block} "
+          f"k0={model.actuator.back_emf:g} shared by every actuator")
     print(f"{'mode':>4} {'modal mass':>11} {'poles':>20} "
           f"{'rms mismatch':>13} {'settle sys':>11} {'settle 1-act':>13}")
-    for j, (mass, resp) in enumerate(zip(decomp.modal_masses, responses)):
-        scalar = simulate_single_actuator(
-            gains, ActuatorModel.ideal(args.k0), mass,
-            lambda _t: [0.0, 0.0, 0.0], 1e-3, args.duration,
-            initial=[modal[0, j], 0.0])
-        rms = np.linalg.norm(modal[:, j] - scalar.value) \
-            / np.linalg.norm(scalar.value)
-        poles = ", ".join(f"{p.real:.3f}" for p in resp.poles)
-        print(f"{j + 1:>4} {mass:>11.6f} {poles:>20} {rms:>12.2%} "
-              f"{settling_time(t, modal[:, j]):>10.3f}s "
-              f"{settling_time(scalar.t, scalar.value):>12.3f}s")
+    for j, match in enumerate(matches):
+        poles = ", ".join(f"{p.real:.3f}" for p in match.poles)
+        print(f"{j + 1:>4} {match.modal_mass:>11.6f} {poles:>20} "
+              f"{match.mismatch:>12.2%} {match.settle_system:>10.3f}s "
+              f"{match.settle_single:>12.3f}s")
 
 
 if __name__ == "__main__":

@@ -25,9 +25,9 @@ from .kinematics import (EuclideanPose, Pose, RigidPose, RobotGeometry,
                          inverse_kinematics, jacobian,
                          jacobian_directional_derivative, manifold_dim,
                          pose_difference, pose_to_chart, retract)
-from .simulator import (PlantState, SimConfig, TraceLog, TrackingMetrics,
-                        run_closed_loop, settling_time, step_plant,
-                        tracking_metrics)
+from .simulator import (ModalMatch, PlantState, SimConfig, TraceLog,
+                        TrackingMetrics, modal_regulation, run_closed_loop,
+                        settling_time, step_plant, tracking_metrics)
 from .system import (Command, ControlDiagnostics, ModalResponse,
                      ReferenceSample, SystemControllerState, control_step,
                      finite_difference_stack, matrix_action,

@@ -361,11 +361,11 @@ class ModalDecomposition:
 _ZERO_TOL = 1e-12
 
 
-def _mass_split(model: RobotModel, pose: Pose, zero_tol: float):
+def _mass_split(model: RobotModel, pose: Pose):
     """J^T J and the eigendecomposition of M from one jacobian evaluation,
     M formed as `mass_matrix` does.
 
-    SingularMass unless every eigenvalue of M exceeds `zero_tol`;
+    SingularMass unless every eigenvalue of M exceeds `_ZERO_TOL`;
     ValidationError when either matrix is not finite (a non-finite pose
     or inertial constant).
     """
@@ -378,20 +378,19 @@ def _mass_split(model: RobotModel, pose: Pose, zero_tol: float):
     if not (np.isfinite(m).all() and np.isfinite(gram).all()):
         raise ValidationError("mass matrix or actuator directions not finite")
     vals, vecs = np.linalg.eigh(m)
-    if vals[0] <= zero_tol:
+    if vals[0] <= _ZERO_TOL:
         raise SingularMass("mass matrix is not positive definite")
     return gram, vals, vecs
 
 
-def _masses_of(eigs: np.ndarray, zero_tol: float) -> np.ndarray:
+def _masses_of(eigs: np.ndarray) -> np.ndarray:
     """Reciprocal eigenvalues, +inf where an eigenvalue is at most
-    `zero_tol` (a direction the actuators cannot sense)."""
-    sensed = eigs > zero_tol
+    `_ZERO_TOL` (a direction the actuators cannot sense)."""
+    sensed = eigs > _ZERO_TOL
     return np.where(sensed, 1.0 / np.where(sensed, eigs, 1.0), np.inf)
 
 
-def modal_decomposition(model: RobotModel, pose: Pose,
-                        zero_tol: float = _ZERO_TOL) -> ModalDecomposition:
+def modal_decomposition(model: RobotModel, pose: Pose) -> ModalDecomposition:
     """Diagonalize M^{-1} J^T J through its symmetric similar form.
 
     M^{-1/2} J^T J M^{-1/2} is symmetric positive semi-definite, so a real
@@ -401,7 +400,7 @@ def modal_decomposition(model: RobotModel, pose: Pose,
     The jacobian is evaluated once and M is formed from it as
     `mass_matrix` does.
     """
-    gram, vals, vecs = _mass_split(model, pose, zero_tol)
+    gram, vals, vecs = _mass_split(model, pose)
     root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     inv_root = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
     sym = inv_root @ gram @ inv_root
@@ -418,7 +417,7 @@ def modal_decomposition(model: RobotModel, pose: Pose,
     modes = inv_root @ sym_vecs
     duals = root @ sym_vecs
     return ModalDecomposition(eigenvalues=eigs,
-                              modal_masses=_masses_of(eigs, zero_tol),
+                              modal_masses=_masses_of(eigs),
                               modes=modes, duals=duals)
 
 
@@ -432,7 +431,7 @@ def modal_masses(model: RobotModel, pose: Pose) -> np.ndarray:
     eigendecomposition of M is `modal_decomposition`'s own, so both raise
     SingularMass at the same poses.
     """
-    gram, vals, vecs = _mass_split(model, pose, _ZERO_TOL)
+    gram, vals, vecs = _mass_split(model, pose)
     white = vecs / np.sqrt(vals)
     eigs = np.linalg.eigvalsh(white.T @ gram @ white)[::-1]
-    return _masses_of(eigs, _ZERO_TOL)
+    return _masses_of(eigs)

@@ -382,7 +382,8 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
     solves the normal equations J^T J + damping I by Cholesky.  Damping
     starts at 1e-10 and grows tenfold whenever a step fails to reduce the
     residual or the factorization fails; past 1e8 FK raises RankDeficient,
-    and NoConvergence after `max_iters` accepted steps.
+    and NoConvergence after `max_iters` accepted steps.  A non-finite
+    reading (or guess) raises ValidationError before the first step.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape != (geom.actuator_count,):
@@ -393,6 +394,9 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
     damping = 1e-10
     residual = inverse_kinematics(geom, pose) - lengths
     cost = residual @ residual
+    if not math.isfinite(cost):
+        raise ValidationError("actuator values or guess give a non-finite "
+                              "residual")
     for _ in range(max_iters):
         if np.max(np.abs(residual)) <= 1e-12:
             return pose

@@ -27,8 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .actuator import (ActuatorModel, ControllerGains, closed_loop_poles,
-                       discretize)
+from .actuator import ControllerGains, closed_loop_poles, discretize
 # modal_decomposition is not called here; it stays bound as
 # system.modal_decomposition, a name perfbench's tracer wraps
 from .dynamics import (RobotModel, _potential_gradient, _rigid_bias,
@@ -264,9 +263,7 @@ class ModalResponse:
 
 
 def predicted_modal_response(model: RobotModel, gains: ControllerGains,
-                             pose: Pose,
-                             actuator_model: ActuatorModel | None = None
-                             ) -> list[ModalResponse]:
+                             pose: Pose) -> list[ModalResponse]:
     """Per-mode pole sets of the decoupled error dynamics at a pose.
 
     Each modal error behaves like a single actuator loaded with the modal
@@ -276,9 +273,7 @@ def predicted_modal_response(model: RobotModel, gains: ControllerGains,
     poles.  The masses come from `modal_masses`, which finds the
     eigenvalues of the modal split without its modes.
     """
-    if actuator_model is None:
-        actuator_model = model.actuator
     masses = modal_masses(model, pose)
-    poles = closed_loop_poles(gains, actuator_model, masses)
+    poles = closed_loop_poles(gains, model.actuator, masses)
     return [ModalResponse(modal_mass=float(m), poles=p)
             for m, p in zip(masses, poles)]

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from conftest import (cube8_geometry, cube8_home, planar3_pose,
                       random_planar_poses, random_rigid_poses)
 from paractl import (DegenerateGeometry, EuclideanPose, NoConvergence,
-                     RankDeficient, RigidPose, RobotGeometry, actuator_rates,
-                     forward_kinematics, inverse_kinematics, jacobian,
-                     jacobian_directional_derivative, manifold_dim,
+                     RankDeficient, RigidPose, RobotGeometry, ValidationError,
+                     actuator_rates, forward_kinematics, inverse_kinematics,
+                     jacobian, jacobian_directional_derivative, manifold_dim,
                      pose_difference, retract)
 from paractl import kinematics
 from paractl.kinematics import quat_normalize
@@ -225,6 +225,24 @@ def test_fk_failed_factorization_damps_harder(planar3_geom, monkeypatch,
     sol = forward_kinematics(planar3_geom, lengths, guess)
     np.testing.assert_allclose(sol.coords, pose.coords, atol=1e-9)
     assert len(calls) > failures
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("rigid", [False, True], ids=["planar3", "cube8"])
+def test_fk_rejects_non_finite_reading(planar3_geom, monkeypatch, rigid,
+                                       bad):
+    # rejected before any step, so the error names the reading instead of
+    # the normal equations
+    calls = []
+    monkeypatch.setattr(kinematics, "_spd_solve",
+                        lambda a, b: calls.append(a))
+    geom, pose = (cube8_geometry(), cube8_home()) if rigid \
+        else (planar3_geom, planar3_pose())
+    lengths = inverse_kinematics(geom, pose)
+    lengths[1] = bad
+    with pytest.raises(ValidationError):
+        forward_kinematics(geom, lengths, pose)
+    assert calls == []
 
 
 def test_pose_difference_same_pose_is_zero():

@@ -127,7 +127,16 @@ def test_control_step_brakes_on_nan_reading(planar3_model,
     state = SystemControllerState.initial(planar3_gains, pose)
     _assert_latched_brake(planar3_model, planar3_gains, planar3_constraints,
                           state, lengths, hold_reference(pose),
-                          "RankDeficient")
+                          "ValidationError")
+    model, pose = cube8_model(), cube8_home()
+    gains = pd_gains(9.0, 6.0, back_emf=0.0, no_load_mass=0.05)
+    lengths = inverse_kinematics(model.geometry, pose)
+    lengths[5] = np.nan
+    con = ForceConstraints.uniform(8, 1.0, 400.0)
+    _assert_latched_brake(model, gains, con,
+                          SystemControllerState.initial(gains, pose), lengths,
+                          ReferenceSample(pose, np.zeros(6), np.zeros(6)),
+                          "ValidationError")
 
 
 def test_control_step_brakes_on_reference_at_anchor(planar3_model,
