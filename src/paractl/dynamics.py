@@ -31,9 +31,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dsygv
 
 from .actuator import ActuatorModel
-from .errors import DegenerateGeometry, SingularMass, ValidationError
+from .errors import (DegenerateGeometry, NoConvergence, SingularMass,
+                     ValidationError)
 from .kinematics import (FD_STEP, EuclideanPose, Pose, RigidPose,
                          RobotGeometry, _hat, _rigid_cable_vectors,
                          _rigid_curvature, _rigid_rows, _spd_solve,
@@ -362,10 +364,10 @@ _ZERO_TOL = 1e-12
 
 
 def _mass_split(model: RobotModel, pose: Pose):
-    """J^T J and the eigendecomposition of M from one jacobian evaluation,
-    M formed as `mass_matrix` does.
+    """J^T J and M (as `mass_matrix` forms it) from one jacobian evaluation.
 
-    SingularMass unless every eigenvalue of M exceeds `_ZERO_TOL`;
+    SingularMass unless every eigenvalue of M exceeds `_ZERO_TOL`, that is
+    unless M - _ZERO_TOL I has a Cholesky factor (LAPACK dpotrf);
     ValidationError when either matrix is not finite (a non-finite pose
     or inertial constant).
     """
@@ -377,10 +379,9 @@ def _mass_split(model: RobotModel, pose: Pose):
         m = m + m0 * gram
     if not (np.isfinite(m).all() and np.isfinite(gram).all()):
         raise ValidationError("mass matrix or actuator directions not finite")
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] <= _ZERO_TOL:
+    if dpotrf(m - _ZERO_TOL * np.eye(len(m)))[1] != 0:
         raise SingularMass("mass matrix is not positive definite")
-    return gram, vals, vecs
+    return gram, m
 
 
 def _masses_of(eigs: np.ndarray) -> np.ndarray:
@@ -400,7 +401,8 @@ def modal_decomposition(model: RobotModel, pose: Pose) -> ModalDecomposition:
     The jacobian is evaluated once and M is formed from it as
     `mass_matrix` does.
     """
-    gram, vals, vecs = _mass_split(model, pose)
+    gram, m = _mass_split(model, pose)
+    vals, vecs = np.linalg.eigh(m)
     root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     inv_root = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
     sym = inv_root @ gram @ inv_root
@@ -423,15 +425,13 @@ def modal_decomposition(model: RobotModel, pose: Pose) -> ModalDecomposition:
 
 def modal_masses(model: RobotModel, pose: Pose) -> np.ndarray:
     """The modal masses of `modal_decomposition`, in its order (increasing,
-    unsensed directions last as +inf), without the modes.
-
-    With M = V diag(vals) V^T and W = V diag(vals)^{-1/2}, W^T J^T J W is
-    similar to M^{-1/2} J^T J M^{-1/2}, so one symmetric eigenvalue call
-    without vectors gives the same eigenvalues, to rounding.  The
-    eigendecomposition of M is `modal_decomposition`'s own, so both raise
-    SingularMass at the same poses.
+    unsensed directions last as +inf), without the modes: the eigenvalues
+    of J^T J v = lam M v from one LAPACK dsygv call, which reduces by a
+    Cholesky factor of M.  SingularMass is `modal_decomposition`'s own
+    test (`_mass_split`: M - _ZERO_TOL I does not factor).
     """
-    gram, vals, vecs = _mass_split(model, pose)
-    white = vecs / np.sqrt(vals)
-    eigs = np.linalg.eigvalsh(white.T @ gram @ white)[::-1]
-    return _masses_of(eigs)
+    gram, m = _mass_split(model, pose)
+    eigs, _, info = dsygv(gram, m, jobz="N")
+    if info != 0:
+        raise NoConvergence(f"modal eigenvalues failed (dsygv info {info})")
+    return _masses_of(eigs[::-1])

@@ -20,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from .errors import (InfeasibleWrench, NoConvergence, RankDeficient,
                      ValidationError)
 from .kinematics import _spd_solve
 
 RESIDUAL_TOL = 1e-8
+RANK_TOL = 1e-12   # least eigenvalue ratio of a full-rank J^T J
 MAX_ACTIVE_SET_ITERS = 200
 
 
@@ -95,30 +97,27 @@ def _try_active_set(jac: np.ndarray, wrench: np.ndarray, lo: np.ndarray,
                     hi: np.ndarray, active: np.ndarray):
     """Solve the least-norm KKT system for one bound pattern; return the
     force vector when primal and dual feasibility both hold, else None.
-    KKT is sufficient here, so a verified pattern is the optimum."""
-    n = jac.shape[0]
-    f = np.zeros(n)
-    f[active == -1] = lo[active == -1]
-    f[active == 1] = hi[active == 1]
+    KKT is sufficient here, so a verified pattern is the optimum.  The
+    tolerances scale with the largest force, as in the final re-solve; a
+    force held at an infinite limit fails."""
+    f = np.where(active == 1, hi, np.where(active == -1, lo, 0.0))
+    if not np.isfinite(f).all():
+        return None
     free = np.where(active == 0)[0]
     if free.size:
         rhs = wrench - jac[active != 0].T @ f[active != 0]
         # least-norm fill of the free variables; an inconsistent pattern
         # shows up in the residual check below
         f[free] = _small_lstsq(jac[free].T, rhs)
-        if np.any(f[free] < lo[free] - 1e-11) or \
-                np.any(f[free] > hi[free] + 1e-11):
-            return None
-        nu = _small_lstsq(jac[free], f[free])
-    else:
-        nu = _small_lstsq(jac, f)
-    if np.max(np.abs(jac.T @ f - wrench)) > RESIDUAL_TOL:
+    scale = 1.0 + np.abs(f).max()
+    if np.any(f < lo - 1e-11 * scale) or np.any(f > hi + 1e-11 * scale) \
+            or np.abs(jac.T @ f - wrench).max() > RESIDUAL_TOL * scale:
         return None
-    shadow = jac @ nu
-    for k in np.where(active != 0)[0]:
-        gap = (shadow[k] - f[k]) if active[k] == 1 else (f[k] - shadow[k])
-        if gap < -1e-10:
-            return None
+    nu = _small_lstsq(jac[free], f[free]) if free.size else \
+        _small_lstsq(jac, f)
+    # each bound's multiplier, signed so that a negative one is wrong
+    if np.any(active * (jac @ nu - f) < -1e-10 * scale):
+        return None
     return np.clip(f, lo, hi)
 
 
@@ -152,14 +151,15 @@ def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         side = 1 if f[p] > hi[p] else -1
         target = hi[p] if side == 1 else lo[p]
         while True:
-            free = np.flatnonzero(status == 0)
-            bound = np.flatnonzero(status)
-            y = _spd_solve(jac[free].T @ jac[free], jac[p])
+            free = (status == 0).nonzero()[0]
+            bound = status.nonzero()[0]
+            rows = jac[free]
+            y = _spd_solve(rows.T @ rows, jac[p])
             if y is None:
                 raise InfeasibleWrench("wrench outside the achievable set "
                                        "(working set lost rank)")
             r = -side * status[bound] * (jac[bound] @ y)
-            falling = np.flatnonzero(r > 0)
+            falling = (r > 0).nonzero()[0]
             t_drop, drop = np.inf, -1
             if falling.size:
                 ratios = mult[bound[falling]] / r[falling]
@@ -176,7 +176,7 @@ def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             changes += 1
             step = min(t_add, t_drop)
             if t_add < np.inf:
-                f[free] += step * side * (jac[free] @ y - (free == p))
+                f[free] += step * side * (rows @ y - (free == p))
             mult[bound] -= step * r
             mult[p] += step
             if t_add <= t_drop:
@@ -213,8 +213,10 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
     Cholesky solve of a small gram (`kinematics._spd_solve`).
 
     A NaN or infinite entry in `jac`, `wrench`, `command_offset` or
-    `no_load` raises ValidationError naming the argument; a jacobian of
-    deficient column rank, or whose gram does not factor, RankDeficient.
+    `no_load` raises ValidationError naming the argument; RankDeficient a
+    jacobian whose gram's eigenvalue ratio (LAPACK dsyevd) is at most
+    RANK_TOL (rounding leaves 1e-16 on a deficient rank, the shipped
+    robots stay above 1.9e-6), or whose gram does not factor.
     InfeasibleWrench means an empty force box, the method's own
     certificate (a violated bound that neither a primal step nor a drop
     can reach), or a working set whose free rows lost rank to rounding
@@ -233,8 +235,10 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
         raise ValidationError(f"{bad} has a non-finite entry")
     jac, wrench, command_offset, no_load = arrays
     gram = jac.T @ jac
-    gram_eigs = np.linalg.eigvalsh(gram)
-    if gram_eigs[0] <= 1e-20 * max(gram_eigs[-1], 1.0):
+    gram_eigs, _, info = dsyevd(gram, compute_v=0)
+    if info != 0:
+        raise NoConvergence(f"gram eigenvalues failed (dsyevd info {info})")
+    if gram_eigs[0] <= RANK_TOL * gram_eigs[-1]:
         raise RankDeficient("jacobian has deficient column rank")
     lo, hi = _force_bounds(con, command_offset, no_load)
     if np.any(lo > hi + 1e-12):

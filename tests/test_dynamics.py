@@ -415,6 +415,29 @@ def test_modal_masses_singular_where_decomposition_is(body_mass):
             split(model, cube8_home())
 
 
+@pytest.mark.parametrize("body_mass, singular",
+                         [(0.9e-12, True), (1.1e-12, False)])
+def test_modal_split_singular_at_the_zero_tolerance(body_mass, singular):
+    # the smallest eigenvalue of M is the body mass: both sides of
+    # _ZERO_TOL (1e-12), where modal_masses tests M by a shifted Cholesky
+    # factorization and modal_decomposition by the eigenvalues of M
+    model = RobotModel(cube8_geometry(),
+                       InertialParams(body_mass=body_mass,
+                                      gravity=[0, 0, -9.81],
+                                      inertia=np.diag([0.02, 0.025, 0.03]),
+                                      actuator_mass=0.0))
+    if singular:
+        for split in (modal_masses, modal_decomposition):
+            with pytest.raises(SingularMass):
+                split(model, cube8_home())
+        return
+    # M's condition number of 2.7e10 leaves both routes ~3e-5 relative off
+    # the exact masses (1.41791, 4.95309 in 50-digit arithmetic)
+    np.testing.assert_allclose(
+        modal_masses(model, cube8_home()),
+        modal_decomposition(model, cube8_home()).modal_masses, rtol=1e-3)
+
+
 def test_modal_split_rejects_non_finite_pose():
     pose = RigidPose([np.nan, 0.0, 1.5], [1.0, 0.0, 0.0, 0.0])
     for split in (modal_masses, modal_decomposition):

@@ -109,6 +109,34 @@ def test_distribute_rank_deficient():
         distribute(jac, np.array([1.0, 2.0]), np.zeros(3), np.zeros(3), con)
 
 
+def test_distribute_rank_deficient_below_rounding():
+    # column 5 a combination of columns 0-4: the gram's smallest eigenvalue
+    # is +-1e-16 relative, so an absolute 1e-20 threshold caught these only
+    # when rounding made it non-positive, and let 252 of them return forces
+    # and 171 raise InfeasibleWrench
+    rng = np.random.default_rng(5)
+    con = ForceConstraints.uniform(8, 1.0, 400.0)
+    zeros = np.zeros(8)
+    for _ in range(2000):
+        jac = rng.normal(size=(8, 6))
+        jac[:, 5] = jac[:, :5] @ rng.normal(size=5)
+        wrench = jac.T @ rng.uniform(-20.0, -5.0, 8)
+        with pytest.raises(RankDeficient):
+            distribute(jac, wrench, zeros, zeros, con)
+
+
+@pytest.mark.parametrize("hint", [(-1, 0, 0), (-1, -1, 0), (-1, -1, -1)])
+def test_hint_at_infinite_limit_is_refused(hint):
+    # without a command limit the low bound is -inf; holding a force there
+    # once returned -inf and NaN forces
+    con = ForceConstraints.uniform(3, min_tension=0.5)
+    zeros = np.zeros(3)
+    cold = distribute(planar3_jacobian(), HOLD_WRENCH, zeros, zeros, con)
+    f = distribute(planar3_jacobian(), HOLD_WRENCH, zeros, zeros, con,
+                   pattern_hint=hint)
+    np.testing.assert_array_equal(f, cold)
+
+
 @pytest.mark.parametrize("hint", [None, (0, 0, 0)], ids=["cold", "hinted"])
 @pytest.mark.parametrize("name, bad", [("jac", np.nan), ("wrench", np.nan),
                                        ("command_offset", np.inf),
@@ -311,6 +339,130 @@ def test_distribute_cube8_matches_null_plane_oracle(variant):
             checked += 1
             feasible += ref is not None
     assert checked >= 1000 and 0 < feasible < checked
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e5])
+def test_exact_hint_accepted_at_large_forces(scale):
+    # scaling the wrench and the limits scales the optimum and keeps its
+    # bound pattern, so the oracle's pattern at unit scale (where its
+    # absolute tolerances hold) is the exact hint at any scale.  Absolute
+    # KKT tolerances once refused 22 of these at 1e4 and 93 at 1e5.  A
+    # stale hint (the previous pose's) must still give the optimum.
+    problems, con = _cube8_static_problems([9, 0])
+    zeros = np.zeros(8)
+    lo, hi = bounds_from_constraints(con, zeros, zeros)
+    stale = None
+    accepted = 0
+    for jac, wrench in problems:
+        ref = null_plane_least_norm(jac, wrench, lo, hi)
+        if ref is None:
+            continue
+        own = np.array(active_pattern(con, ref, zeros, zeros))
+        for hint in (own, stale):
+            if hint is None:
+                continue
+            f = force_distribution._try_active_set(
+                jac, scale * wrench, scale * lo, scale * hi, hint)
+            if hint is own:
+                assert f is not None
+                accepted += 1
+            if f is not None:
+                np.testing.assert_allclose(f, scale * ref, rtol=0.0,
+                                           atol=1e-9 * scale * 400.0)
+        stale = own
+    assert accepted > 100
+
+
+def _frozen_dual_active_set(jac, lo, hi, f):
+    """`_dual_active_set` as it was before the loop took the free rows
+    once per iteration: the reference its forces must equal bit for bit."""
+    from paractl.force_distribution import (MAX_ACTIVE_SET_ITERS,
+                                            _spd_solve)
+    n, d = jac.shape
+    status = np.zeros(n, dtype=int)
+    mult = np.zeros(n)
+    changes = 0
+    while True:
+        gap = np.where(status == 0, np.maximum(lo - f, f - hi), 0.0)
+        p = int(np.argmax(gap))
+        if gap[p] <= 1e-12:
+            return status
+        side = 1 if f[p] > hi[p] else -1
+        target = hi[p] if side == 1 else lo[p]
+        while True:
+            free = np.flatnonzero(status == 0)
+            bound = np.flatnonzero(status)
+            y = _spd_solve(jac[free].T @ jac[free], jac[p])
+            if y is None:
+                raise InfeasibleWrench("wrench outside the achievable set "
+                                       "(working set lost rank)")
+            r = -side * status[bound] * (jac[bound] @ y)
+            falling = np.flatnonzero(r > 0)
+            t_drop, drop = np.inf, -1
+            if falling.size:
+                ratios = mult[bound[falling]] / r[falling]
+                k = int(np.argmin(ratios))
+                t_drop, drop = ratios[k], bound[falling[k]]
+            reach = 1.0 - jac[p] @ y
+            t_add = side * (f[p] - target) / reach \
+                if free.size > d and reach > 1e-12 else np.inf
+            if t_add == t_drop == np.inf:
+                raise InfeasibleWrench("wrench outside the achievable set")
+            if changes == MAX_ACTIVE_SET_ITERS:
+                raise NoConvergence(f"force solver made {changes} "
+                                    "active-set changes without converging")
+            changes += 1
+            step = min(t_add, t_drop)
+            if t_add < np.inf:
+                f[free] += step * side * (jac[free] @ y - (free == p))
+            mult[bound] -= step * r
+            mult[p] += step
+            if t_add <= t_drop:
+                status[p], f[p] = side, target
+                break
+            status[drop], mult[drop] = 0, 0.0
+
+
+def _verdict(jac, wrench, con):
+    zeros = np.zeros(jac.shape[0])
+    try:
+        return distribute(jac, wrench, zeros, zeros, con)
+    except InfeasibleWrench:
+        return None
+
+
+def test_dual_loop_bit_identical_to_frozen_reference(monkeypatch):
+    # 3000 cold sweep poses: the loop's working set and final iterate, and
+    # distribute's forces and verdicts, equal bit for bit those of the loop
+    # that indexed the free rows three times per iteration
+    zeros = np.zeros(8)
+    results = []
+    for seed in ([21, 0], [22, 0], [23, 0], [24, 0], [25, 0], [26, 0]):
+        problems, con = _cube8_static_problems(seed)
+        lo, hi = bounds_from_constraints(con, zeros, zeros)
+        for jac, wrench in problems:
+            start = jac @ np.linalg.solve(jac.T @ jac, wrench)
+            runs = []
+            for loop in (force_distribution._dual_active_set,
+                         _frozen_dual_active_set):
+                f = start.copy()
+                try:
+                    runs.append((tuple(loop(jac, lo, hi, f)), f))
+                except InfeasibleWrench:
+                    runs.append((None, f))
+            assert runs[0][0] == runs[1][0]
+            assert np.array_equal(runs[0][1], runs[1][1])
+            results.append((jac, wrench, _verdict(jac, wrench, con)))
+    monkeypatch.setattr(force_distribution, "_dual_active_set",
+                        _frozen_dual_active_set)
+    feasible = 0
+    for jac, wrench, f in results:
+        ref = _verdict(jac, wrench, con)
+        assert (f is None) == (ref is None)
+        if f is not None:
+            feasible += 1
+            assert np.array_equal(f, ref)
+    assert len(results) == 3000 and 0 < feasible < 3000
 
 
 def _duplicated_row_cases(count, seed=0):
