@@ -31,19 +31,6 @@ RANK_TOL = 1e-12   # least eigenvalue ratio of a full-rank J^T J
 MAX_ACTIVE_SET_ITERS = 200
 
 
-def _small_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solve sized for a handful of actuators: normal
-    equations by Cholesky when they factor, SVD fallback otherwise."""
-    m, n = a.shape
-    if n <= m:
-        x = _spd_solve(a.T @ a, a.T @ b)
-    else:
-        x = _spd_solve(a @ a.T, b)
-        if x is not None:
-            x = a.T @ x
-    return np.linalg.lstsq(a, b, rcond=None)[0] if x is None else x
-
-
 @dataclass(frozen=True)
 class ForceConstraints:
     """Per-actuator minimum tension and command-force magnitude limit."""
@@ -93,30 +80,41 @@ def _force_bounds(con: ForceConstraints, command_offset: np.ndarray,
     return lo, hi
 
 
+def _pattern_forces(jac: np.ndarray, wrench: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray, status: np.ndarray):
+    """Forces of one working set (-1 at lo, +1 at hi, 0 free): held ones
+    at their bounds, free ones the least-norm fill J_free w of the rest of
+    the wrench, w (the wrench rows' multipliers) from one Cholesky solve.
+    (f, w), or None when the free rows' gram does not factor."""
+    f = np.where(status == 1, hi, lo)
+    free = status == 0
+    rows = jac[free]
+    w = _spd_solve(rows.T @ rows, wrench - jac[~free].T @ f[~free])
+    if w is None:
+        return None
+    f[free] = rows @ w
+    return f, w
+
+
 def _try_active_set(jac: np.ndarray, wrench: np.ndarray, lo: np.ndarray,
                     hi: np.ndarray, active: np.ndarray):
-    """Solve the least-norm KKT system for one bound pattern; return the
-    force vector when primal and dual feasibility both hold, else None.
-    KKT is sufficient here, so a verified pattern is the optimum.  The
-    tolerances scale with the largest force, as in the final re-solve; a
-    force held at an infinite limit fails."""
-    f = np.where(active == 1, hi, np.where(active == -1, lo, 0.0))
-    if not np.isfinite(f).all():
+    """A bound pattern's forces (`_pattern_forces`) when they pass the KKT
+    check, else None; KKT is sufficient here, so they are the optimum.
+    The tolerances scale with the largest force, as in the final
+    re-solve.  A force held at an infinite limit fails, and so does a
+    pattern with fewer free forces than freedoms or an unfactored gram."""
+    if np.count_nonzero(active == 0) < jac.shape[1] or \
+            not np.isfinite(np.where(active == 1, hi, lo)[active != 0]).all():
         return None
-    free = np.where(active == 0)[0]
-    if free.size:
-        rhs = wrench - jac[active != 0].T @ f[active != 0]
-        # least-norm fill of the free variables; an inconsistent pattern
-        # shows up in the residual check below
-        f[free] = _small_lstsq(jac[free].T, rhs)
+    solved = _pattern_forces(jac, wrench, lo, hi, active)
+    if solved is None:
+        return None
+    f, w = solved
     scale = 1.0 + np.abs(f).max()
+    # the bound multipliers active * (J w - f): a negative one is wrong
     if np.any(f < lo - 1e-11 * scale) or np.any(f > hi + 1e-11 * scale) \
-            or np.abs(jac.T @ f - wrench).max() > RESIDUAL_TOL * scale:
-        return None
-    nu = _small_lstsq(jac[free], f[free]) if free.size else \
-        _small_lstsq(jac, f)
-    # each bound's multiplier, signed so that a negative one is wrong
-    if np.any(active * (jac @ nu - f) < -1e-10 * scale):
+            or np.abs(jac.T @ f - wrench).max() > RESIDUAL_TOL * scale \
+            or np.any(active * (jac @ w - f) < -1e-10 * scale):
         return None
     return np.clip(f, lo, hi)
 
@@ -188,11 +186,12 @@ def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def active_pattern(con: ForceConstraints, forces: np.ndarray,
                    command_offset: np.ndarray, no_load: np.ndarray,
                    tol: float = 1e-9) -> tuple[int, ...]:
-    """Which bound each force sits on (-1 low, 0 free, +1 high); feed back
-    into `distribute` as a warm-start hint on the next call."""
+    """Which bound each force sits on (-1 low, 0 free, +1 high), within
+    tol (1 + max|f|); feed back into `distribute` as a warm-start hint."""
     lo, hi = _force_bounds(con, np.asarray(command_offset, float),
                            np.asarray(no_load, float))
     forces = np.asarray(forces, float)
+    tol = tol * (1.0 + np.abs(forces).max())
     return tuple(np.where(forces <= lo + tol, -1,
                           np.where(forces >= hi - tol, 1, 0)))
 
@@ -208,9 +207,9 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
     that passes the KKT check is returned as is, and an unconstrained
     least-norm point inside the box needs no search; a stale hint is
     harmless.  Otherwise the dual active-set method runs from that point
-    (see the module docstring).  The final working set is re-solved once
-    to remove the rounding the iteration accumulated.  Every solve is a
-    Cholesky solve of a small gram (`kinematics._spd_solve`).
+    (see the module docstring); `_pattern_forces` fills its final working
+    set afresh, free of the loop's rounding, as it fills a hint.  Every
+    solve is one Cholesky solve of a small gram, with no SVD fallback.
 
     A NaN or infinite entry in `jac`, `wrench`, `command_offset` or
     `no_load` raises ValidationError naming the argument; RankDeficient a
@@ -256,19 +255,16 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
     if np.all(free_ln >= lo - 1e-12) and np.all(free_ln <= hi + 1e-12):
         return np.clip(free_ln, lo, hi)
     status = _dual_active_set(jac, lo, hi, free_ln.copy())
-    f = np.where(status == 1, hi, lo)
-    free = status == 0
-    rhs = wrench - jac[~free].T @ f[~free]
-    weights = _spd_solve(jac[free].T @ jac[free], rhs)
-    if weights is not None:
-        f[free] = jac[free] @ weights
+    solved = _pattern_forces(jac, wrench, lo, hi, status)
+    if solved is not None:
+        f = solved[0]
+        if np.abs(jac.T @ f - wrench).max() <= \
+                RESIDUAL_TOL * (1.0 + np.abs(f).max()):
+            return np.clip(f, lo, hi)
     # a working set whose free rows lost rank to a rounding-level add
     # cannot realize the wrench: the certificate it stood in for
-    if weights is None or np.abs(jac.T @ f - wrench).max() > \
-            RESIDUAL_TOL * (1.0 + np.abs(f).max()):
-        raise InfeasibleWrench("wrench outside the achievable set "
-                               "(final working set lost rank)")
-    return np.clip(f, lo, hi)
+    raise InfeasibleWrench("wrench outside the achievable set "
+                           "(final working set lost rank)")
 
 
 def wrench_feasible(jac: np.ndarray, wrench: np.ndarray,

@@ -90,12 +90,11 @@ class SystemControllerState:
     solver_hint: tuple | None = None      # last force-bound pattern
 
     @classmethod
-    def initial(cls, gains: ControllerGains, guess: Pose,
-                window: int = 3) -> "SystemControllerState":
-        d = manifold_dim(guess)
-        window = max(window, gains.derivative_order)
-        return cls(xi=np.zeros((gains.state_dim, d)), error_history=(),
-                   length_history=(), prev_pose=guess, window=window)
+    def initial(cls, gains: ControllerGains,
+                guess: Pose) -> "SystemControllerState":
+        return cls(xi=np.zeros((gains.state_dim, manifold_dim(guess))),
+                   error_history=(), length_history=(), prev_pose=guess,
+                   window=max(3, gains.derivative_order))
 
 
 @dataclass(frozen=True)

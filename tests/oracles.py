@@ -62,6 +62,12 @@ def null_plane_least_norm(jac, wrench, lo, hi, tol=1e-9):
     perpendicular on an edge line, or a vertex: every candidate is tried
     and the admissible one of least norm kept.  A 2n-line polygon costs
     O(n^2) candidates where the enumeration tries 3^n patterns.
+
+    A candidate is admissible within max(tol, 1e-13 max|b|): the floor
+    governs up to |b| = 1e4 (the unit-scale test problems reach 4e3), the
+    relative part keeps rounding from excluding the optimum when the
+    wrench and bounds are scaled up.  The line and vertex tests read rows
+    of an orthonormal basis, which no scaling of the problem changes.
     """
     jac = np.asarray(jac, float)
     n, d = jac.shape
@@ -85,6 +91,7 @@ def null_plane_least_norm(jac, wrench, lo, hi, tol=1e-9):
         (normals[i, 0] * offsets[j] - normals[j, 0] * offsets[i]) / det],
         axis=1)
     cands = np.vstack([np.zeros((1, 2)), feet, vertices])
+    tol = max(tol, 1e-13 * np.abs(offsets).max(initial=0.0))
     admissible = np.all(cands @ normals.T <= offsets + tol, axis=1)
     if not admissible.any():
         return None

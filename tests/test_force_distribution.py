@@ -344,10 +344,10 @@ def test_distribute_cube8_matches_null_plane_oracle(variant):
 @pytest.mark.parametrize("scale", [1e4, 1e5])
 def test_exact_hint_accepted_at_large_forces(scale):
     # scaling the wrench and the limits scales the optimum and keeps its
-    # bound pattern, so the oracle's pattern at unit scale (where its
-    # absolute tolerances hold) is the exact hint at any scale.  Absolute
-    # KKT tolerances once refused 22 of these at 1e4 and 93 at 1e5.  A
-    # stale hint (the previous pose's) must still give the optimum.
+    # bound pattern, so the oracle's pattern at unit scale is the exact
+    # hint at any scale.  Absolute KKT tolerances once refused 22 of these
+    # at 1e4 and 93 at 1e5.  A stale hint (the previous pose's) must still
+    # give the optimum.
     problems, con = _cube8_static_problems([9, 0])
     zeros = np.zeros(8)
     lo, hi = bounds_from_constraints(con, zeros, zeros)
@@ -371,6 +371,168 @@ def test_exact_hint_accepted_at_large_forces(scale):
                                            atol=1e-9 * scale * 400.0)
         stale = own
     assert accepted > 100
+
+
+def test_active_pattern_scale_invariant():
+    # the optimum of a problem scaled by 1e5 sits on the bounds of the
+    # unit-scale optimum; an absolute 1e-9 tolerance, below the rounding
+    # of forces near 4e7 N, once read 5 of these 183 as free
+    problems, con = _cube8_static_problems([9, 0])
+    zeros = np.zeros(8)
+    lo, hi = bounds_from_constraints(con, zeros, zeros)
+    big = ForceConstraints(1e5 * con.min_tension, 1e5 * con.max_command)
+    checked = 0
+    for jac, wrench in problems:
+        ref = null_plane_least_norm(jac, wrench, lo, hi)
+        if ref is None:
+            continue
+        assert active_pattern(big, 1e5 * ref, zeros, zeros) == \
+            active_pattern(con, ref, zeros, zeros)
+        checked += 1
+    assert checked == 183
+
+
+def test_null_plane_oracle_scales_with_problem():
+    # with an absolute admissibility tolerance, rounding at 1e5 excluded
+    # the optimum of these three poses and the oracle returned forces
+    # 7-10% above it
+    problems, con = _cube8_static_problems([9, 0])
+    zeros = np.zeros(8)
+    lo, hi = bounds_from_constraints(con, zeros, zeros)
+    for index in (32, 296, 471):
+        jac, wrench = problems[index]
+        ref = null_plane_least_norm(jac, wrench, lo, hi)
+        big = null_plane_least_norm(jac, 1e5 * wrench, 1e5 * lo, 1e5 * hi)
+        np.testing.assert_allclose(big, 1e5 * ref, rtol=0.0,
+                                   atol=1e-9 * 1e5 * 400.0)
+
+
+@pytest.fixture(scope="module")
+def planar3_track_calls():
+    """distribute's positional arguments on each tick of a seeded planar3
+    closed-loop run, and how many ticks the hint answered: three 0.1 m
+    quintic moves of 0.3 s, each followed by a 0.1 s hold, sensor noise
+    1e-4.  The run keeps off the symmetry axis x = 2, where the two lower
+    cables trade the bound from tick to tick under the noise."""
+    from dataclasses import replace
+    from paractl import (EuclideanPose, Segment, Trajectory, load_config,
+                         run_closed_loop, system)
+    cfg = load_config(Path(__file__).parent.parent / "configs"
+                      / "planar3.json")
+    pose, segments = np.array([1.5, 1.2]), []
+    for angle in (0.4, 2.2, 4.5):
+        pose = pose + 0.1 * np.array([np.cos(angle), np.sin(angle)])
+        segments += [Segment("quintic", 0.3, EuclideanPose(pose)),
+                     Segment("hold", 0.1)]
+    traj = Trajectory(EuclideanPose([1.5, 1.2]), segments)
+    sim = replace(cfg.sim, duration=traj.duration, noise_sigma=1e-4, seed=7)
+    calls, answered = [], []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return distribute(*args, **kwargs)
+
+    def counting(*args):
+        forces = try_active_set(*args)
+        answered.append(forces is not None)
+        return forces
+
+    try_active_set = force_distribution._try_active_set
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(system, "distribute", recording)
+        patch.setattr(force_distribution, "_try_active_set", counting)
+        trace = run_closed_loop(cfg.model, cfg.gains, cfg.constraints,
+                                traj, sim)
+    assert len(trace) == len(calls) == 1200 and not any(trace.brake)
+    return calls, sum(answered)
+
+
+def test_hint_answers_most_planar3_ticks(planar3_track_calls):
+    # every tick but the first carries the previous tick's pattern; 1187
+    # of the 1200 are answered by it
+    calls, answered = planar3_track_calls
+    assert answered >= 0.9 * len(calls)
+
+
+def _cold_and_working_set(monkeypatch, args):
+    """Cold distribute's forces and the working set it ended in."""
+    sets = []
+
+    def recording(*loop_args):
+        sets.append(loop(*loop_args))
+        return sets[-1]
+
+    loop = force_distribution._dual_active_set
+    with monkeypatch.context() as patch:
+        patch.setattr(force_distribution, "_dual_active_set", recording)
+        forces = distribute(*args)
+    return forces, sets[0] if sets else np.zeros(len(forces), int)
+
+
+@pytest.mark.parametrize("source", ["planar3_ticks", "cube8_sweep"])
+def test_hinted_and_cold_forces_bit_identical(source, planar3_track_calls,
+                                              monkeypatch):
+    # a hint of the working set the cold path ends in is filled by the
+    # same routine, so the forces are equal bit for bit, not to rounding
+    if source == "planar3_ticks":
+        problems = planar3_track_calls[0]
+    else:
+        cube8, con = _cube8_static_problems([9, 0])
+        zeros = np.zeros(8)
+        problems = [(jac, wrench, zeros, zeros, con) for jac, wrench in cube8
+                    if null_plane_least_norm(
+                        jac, wrench, *bounds_from_constraints(
+                            con, zeros, zeros)) is not None]
+    accepted = 0
+    for args in problems:
+        cold, working_set = _cold_and_working_set(monkeypatch, args)
+        jac, wrench, offset, no_load, con = args
+        lo, hi = bounds_from_constraints(con, offset, no_load)
+        accepted += force_distribution._try_active_set(
+            jac, wrench, lo, hi, working_set) is not None
+        hinted = distribute(*args, pattern_hint=working_set)
+        assert np.array_equal(hinted, cold)
+    assert accepted == len(problems) >= 183
+
+
+def test_short_or_unfactored_hint_is_refused():
+    # a hint with fewer free forces than freedoms cannot be filled by one
+    # solve, nor can one whose free rows lose rank; both are refused and
+    # the cold path still finds the optimum
+    problems, con = _cube8_static_problems([9, 0])
+    zeros = np.zeros(8)
+    lo, hi = bounds_from_constraints(con, zeros, zeros)
+    refused = 0
+    for jac, wrench in problems[:100]:
+        ref = null_plane_least_norm(jac, wrench, lo, hi)
+        if ref is None:
+            continue
+        hint = np.array(active_pattern(con, ref, zeros, zeros))
+        # hold the free forces nearest their bounds until five are free
+        free = np.flatnonzero(hint == 0)
+        nearer = np.where(ref - lo < hi - ref, -1, 1)
+        gaps = np.minimum(ref - lo, hi - ref)[free]
+        held = free[np.argsort(gaps)][:free.size - 5]
+        hint[held] = nearer[held]
+        assert force_distribution._try_active_set(
+            jac, wrench, lo, hi, hint) is None
+        refused += 1
+        _assert_matches(ref, jac, wrench, zeros, zeros, con, hint)
+    assert refused > 30
+    # rows 0 and 1 both along x: with them the only free rows, the gram
+    # is singular
+    rng = np.random.default_rng(1107)
+    jac = rng.normal(size=(4, 2))
+    jac[0], jac[1] = [1.0, 0.0], [-2.0, 0.0]
+    con = ForceConstraints.uniform(4, min_tension=0.5, max_command=20.0)
+    lo, hi = bounds_from_constraints(con, np.zeros(4), np.zeros(4))
+    for _ in range(20):
+        wrench = jac.T @ rng.uniform(lo, hi)
+        hint = np.array([0, 0, -1, 1])
+        assert force_distribution._try_active_set(
+            jac, wrench, lo, hi, hint) is None
+        _assert_matches(null_plane_least_norm(jac, wrench, lo, hi), jac,
+                        wrench, np.zeros(4), np.zeros(4), con, hint)
 
 
 def _frozen_dual_active_set(jac, lo, hi, f):
