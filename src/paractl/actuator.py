@@ -332,12 +332,16 @@ def closed_loop_poles(gains: ControllerGains, model: ActuatorModel,
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Per-mass eigenvalue summary from `stability_check`."""
+    """Per-mass eigenvalue summary and verdict from `stability_check`."""
 
     masses: tuple[float, ...]
     max_real_parts: tuple[float, ...]
     poles: tuple[tuple[complex, ...], ...]
-    passed: bool
+    stable: tuple[bool, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(self.stable)
 
     def worst(self) -> float:
         return max(self.max_real_parts)
@@ -348,7 +352,7 @@ def stability_check(gains: ControllerGains, model: ActuatorModel,
     """Eigenvalue test of the closed loop over a sweep of passive loads.
 
     Passes only if every mass in the sweep (which must include the no-load
-    mass and infinity) yields poles strictly in the left half plane.
+    mass and infinity) is stable: all its poles' real parts below -1e-9.
     """
     masses = tuple(float(m) for m in masses)
     if not any(np.isinf(m) for m in masses):
@@ -358,11 +362,10 @@ def stability_check(gains: ControllerGains, model: ActuatorModel,
         raise ValueError("mass sweep must include the no-load mass")
     poles = closed_loop_poles(gains, model, np.array(masses))
     max_reals = tuple(float(np.max(p.real)) for p in poles)
-    passed = all(r < -1e-9 for r in max_reals)
     return StabilityReport(masses=masses, max_real_parts=max_reals,
                            poles=tuple(tuple(complex(v) for v in p)
                                        for p in poles),
-                           passed=passed)
+                           stable=tuple(r < -1e-9 for r in max_reals))
 
 
 # --------------------------------------------------------------------------
@@ -379,8 +382,23 @@ class ActuatorTrace:
     force_cmd: np.ndarray
 
 
+def _realization(num: np.ndarray, den: np.ndarray):
+    """Controllable canonical form (a, b, c, feed) of num(s) / den(s),
+    ascending coefficients, deg num <= deg den: x' = a x + b u and
+    y = c . x + feed u, `feed` nonzero only when the degrees match."""
+    lead = den[-1]
+    deg = den.size - 1
+    den = den / lead
+    padded = np.zeros(deg + 1)
+    padded[:num.size] = num / lead
+    num, feed = padded[:-1], padded[-1]
+    a = np.eye(deg, k=1)
+    a[-1, :] = -den[:-1]
+    return a, np.eye(deg)[-1], num - feed * den[:-1], feed
+
+
 def _plant_state_space(model: ActuatorModel, mass: float):
-    """Controllable-canonical realization of the passive-load response,
+    """`_realization` (b a column, c a row) of the passive-load response,
     input = command acceleration, output = actuator value."""
     _check_masses(mass)
     p_inf, p_rate, q = _plant_polynomials(model)
@@ -392,18 +410,8 @@ def _plant_state_space(model: ActuatorModel, mass: float):
         raise ParactlError("ill-posed model: plant has no dynamics")
     if q.size - 1 >= deg:
         raise ParactlError("command derivatives exceed plant order")
-    lead = p[-1]
-    pn = p / lead
-    qn = np.zeros(deg)
-    qn[:q.size] = q / lead
-    a = np.zeros((deg, deg))
-    a[:-1, 1:] = np.eye(deg - 1)
-    a[-1, :] = -pn[:-1]
-    b = np.zeros((deg, 1))
-    b[-1, 0] = 1.0
-    c = np.zeros((1, deg))
-    c[0, :] = qn
-    return a, b, c
+    a, b, c, _ = _realization(q, p)
+    return a, b[:, None], c[None, :]
 
 
 def simulate_single_actuator(gains: ControllerGains, model: ActuatorModel,

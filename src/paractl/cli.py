@@ -14,7 +14,7 @@ from .config import load_config
 from .dynamics import bias_force, mass_matrix, modal_decomposition
 from .errors import NumericBlowup, ParactlError
 from .force_distribution import wrench_feasible
-from .kinematics import inverse_kinematics, jacobian
+from .kinematics import inverse_kinematics, jacobian, read_pose
 from .simulator import run_closed_loop, tracking_metrics
 from .trace_io import write_trace
 from .trajectory import load_trajectory
@@ -101,9 +101,9 @@ def _fmt_matrix(mat: np.ndarray) -> str:
 
 def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    from .config import _parse_pose
-    pose = _parse_pose([float(x) for x in args.pose.split(",")], cfg.manifold)
     model = cfg.model
+    pose = read_pose(args.pose.split(","), model.geometry.is_rigid,
+                     model.manifold_dim)
     lengths = inverse_kinematics(model.geometry, pose)
     jac = jacobian(model.geometry, pose)
     mass = mass_matrix(model, pose)
@@ -166,9 +166,10 @@ def _cmd_tune_check(args) -> int:
     base = m0 if m0 > 0.0 else 1.0
     masses = [base, 2 * base, 10 * base, np.inf]
     report = stability_check(cfg.gains, cfg.model.actuator, masses)
-    for mass, worst in zip(report.masses, report.max_real_parts):
+    for mass, worst, stable in zip(report.masses, report.max_real_parts,
+                                   report.stable):
         label = "inf" if np.isinf(mass) else f"{mass:.6g}"
-        verdict = "stable" if worst < -1e-9 else "NOT STABLE"
+        verdict = "stable" if stable else "NOT STABLE"
         print(f"mass {label}: max pole real part {worst:.6g} ({verdict})")
     print("stability check:", "pass" if report.passed else "FAIL")
     return 0 if report.passed else 1

@@ -9,9 +9,8 @@ import numpy as np
 from .actuator import ActuatorModel, ControllerGains, pd_gains
 from .dynamics import InertialParams, RobotModel, mass_matrix, gram_matrix
 from .errors import ParseError, ValidationError
-from .force_distribution import ForceConstraints
-from .kinematics import (EuclideanPose, Pose, RigidPose, RobotGeometry,
-                         geometry_rank_ok, quat_normalize)
+from .force_distribution import ForceConstraints, full_rank
+from .kinematics import Pose, RigidPose, RobotGeometry, read_pose
 from .simulator import SimConfig
 
 _MANIFOLDS = ("euclidean1", "euclidean2", "euclidean3", "se3")
@@ -37,22 +36,6 @@ def _require(data: dict, key: str, where: str):
     if key not in data:
         raise ValidationError(f"missing {key!r} in {where}")
     return data[key]
-
-
-def _parse_pose(values, manifold: str) -> Pose:
-    values = np.asarray(values, float)
-    if manifold == "se3":
-        if values.size != 7:
-            raise ValidationError(
-                "se3 pose needs 7 numbers: position then quaternion wxyz")
-        quat = values[3:]
-        if abs(np.linalg.norm(quat) - 1.0) > 1e-6:
-            quat = quat_normalize(quat)
-        return RigidPose(values[:3], quat_normalize(quat))
-    dim = int(manifold[-1])
-    if values.size != dim:
-        raise ValidationError(f"{manifold} pose needs {dim} numbers")
-    return EuclideanPose(values)
 
 
 def _parse_gains(block: dict, back_emf: float,
@@ -156,20 +139,18 @@ def parse_config(data: dict) -> RobotConfig:
                     duration=float(sim_block.get("duration", 10.0)),
                     noise_sigma=float(sim_block.get("noise_sigma", 0.0)))
 
-    home = _parse_pose(_require(data, "home_pose", "config"), manifold)
+    home = read_pose(_require(data, "home_pose", "config"), rigid, world_dim)
     workspace = data.get("workspace", {})
     d = geom.manifold_dim
     ws_min = np.asarray(workspace.get("min", [0.0] * d), float)
     ws_max = np.asarray(workspace.get("max", [0.0] * d), float)
 
-    # cross-module invariants at the home pose
-    if n < d:
-        raise ValidationError(
-            f"rank: {n} actuators cannot control {d} pose freedoms")
-    if not geometry_rank_ok(geom, home):
-        raise ValidationError("rank: jacobian is rank deficient at the "
-                              "home pose")
-    body_part = mass_matrix(model, home) - m0 * gram_matrix(geom, home)
+    # cross-module invariants at the home pose, rank as `distribute` has it
+    gram = gram_matrix(geom, home)
+    if not full_rank(gram):
+        raise ValidationError(f"rank: {n} actuators on {d} pose freedoms "
+                              "are rank deficient at the home pose")
+    body_part = mass_matrix(model, home) - m0 * gram
     if np.min(np.linalg.eigvalsh(body_part)) < -1e-9:
         raise ValidationError("psd: actuator inertia exceeds body inertia "
                               "at the home pose")

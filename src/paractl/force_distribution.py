@@ -72,6 +72,17 @@ def in_constraint_set(con: ForceConstraints, forces: np.ndarray,
     return bool(tension_ok and limit_ok)
 
 
+def full_rank(gram: np.ndarray) -> bool:
+    """The rank test of `distribute` and config validation: a jacobian
+    has full column rank when the least eigenvalue of its gram J^T J
+    (dsyevd) exceeds RANK_TOL times the largest.  Rounding leaves 1e-16
+    on a deficient rank; the shipped robots stay above 1.9e-6."""
+    eigs, _, info = dsyevd(gram, compute_v=0)
+    if info != 0:
+        raise NoConvergence(f"gram eigenvalues failed (dsyevd info {info})")
+    return bool(eigs[0] > RANK_TOL * eigs[-1])
+
+
 def _force_bounds(con: ForceConstraints, command_offset: np.ndarray,
                   no_load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = -con.max_command - command_offset
@@ -213,9 +224,7 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
 
     A NaN or infinite entry in `jac`, `wrench`, `command_offset` or
     `no_load` raises ValidationError naming the argument; RankDeficient a
-    jacobian whose gram's eigenvalue ratio (LAPACK dsyevd) is at most
-    RANK_TOL (rounding leaves 1e-16 on a deficient rank, the shipped
-    robots stay above 1.9e-6), or whose gram does not factor.
+    jacobian that fails `full_rank`, or whose gram does not factor.
     InfeasibleWrench means an empty force box, the method's own
     certificate (a violated bound that neither a primal step nor a drop
     can reach), or a working set whose free rows lost rank to rounding
@@ -234,10 +243,7 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
         raise ValidationError(f"{bad} has a non-finite entry")
     jac, wrench, command_offset, no_load = arrays
     gram = jac.T @ jac
-    gram_eigs, _, info = dsyevd(gram, compute_v=0)
-    if info != 0:
-        raise NoConvergence(f"gram eigenvalues failed (dsyevd info {info})")
-    if gram_eigs[0] <= RANK_TOL * gram_eigs[-1]:
+    if not full_rank(gram):
         raise RankDeficient("jacobian has deficient column rank")
     lo, hi = _force_bounds(con, command_offset, no_load)
     if np.any(lo > hi + 1e-12):

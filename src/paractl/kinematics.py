@@ -157,6 +157,28 @@ class RigidPose:
 Pose = EuclideanPose | RigidPose
 
 
+def read_pose(values, rigid: bool, dim: int) -> Pose:
+    """The pose of a flat list of numbers: `dim` coordinates on a point
+    mass, or position then quaternion (w, x, y, z) on a rigid body.  All
+    must be finite and the quaternion of nonzero finite norm, else
+    ValidationError; the quaternion is normalized once."""
+    width = 7 if rigid else dim
+    try:
+        values = np.asarray(values, dtype=float).reshape(-1)
+        ok = values.size == width and np.isfinite(values).all()
+    except (TypeError, ValueError):
+        ok = False
+    if ok and rigid:   # |q|^2 in Python floats: overflow gives inf, silently
+        ok = 0.0 < sum(x * x for x in values[3:].tolist()) < math.inf
+    if not ok:
+        raise ValidationError(f"a pose needs {width} finite numbers" + (
+            " (position, then a nonzero quaternion w, x, y, z)"
+            if rigid else ""))
+    if not rigid:
+        return EuclideanPose(values)
+    return RigidPose(values[:3], quat_normalize(values[3:]))
+
+
 def manifold_dim(pose: Pose) -> int:
     if isinstance(pose, RigidPose):
         return 6
@@ -424,10 +446,3 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
         if np.max(np.abs(step)) <= 1e-12:
             return pose
     raise NoConvergence(f"no convergence after {max_iters} iterations")
-
-
-def geometry_rank_ok(geom: RobotGeometry, pose: Pose,
-                     tol: float = 1e-8) -> bool:
-    """True when the jacobian has full column rank at the pose."""
-    singulars = np.linalg.svd(jacobian(geom, pose), compute_uv=False)
-    return bool(singulars[-1] > tol)

@@ -32,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .actuator import closed_loop_poles, simulate_single_actuator
+from .actuator import (_realization, closed_loop_poles,
+                       simulate_single_actuator)
 from .dynamics import (RobotModel, _potential_gradient, _solve_mass,
                        modal_decomposition, point_mass_tables,
                        rigid_pose_tables)
@@ -139,19 +140,8 @@ def _command_filter(act):
             "command-derivative order exceeds force-derivative order")
     if nc == 0:
         return None
-    den = np.concatenate([[1.0], act.force_deriv_coeffs])   # ascending
-    lead = den[-1]
-    den = den / lead
-    num = np.zeros(nc + 1)
-    num[:len(act.command_deriv_coeffs) + 1] = np.concatenate(
-        [[1.0], act.command_deriv_coeffs]) / lead
-    feed = num[-1]
-    a = np.zeros((nc, nc))
-    a[:-1, 1:] = np.eye(nc - 1)
-    a[-1, :] = -den[:-1]
-    b = np.zeros(nc)
-    b[-1] = 1.0
-    return a, b, num[:-1] - feed * den[:-1], feed
+    return _realization(np.array([1.0, *act.command_deriv_coeffs]),
+                        np.array([1.0, *act.force_deriv_coeffs]))
 
 
 def _derivative(model: RobotModel, y: np.ndarray, forces_cmd: np.ndarray,

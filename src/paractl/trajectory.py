@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .kinematics import (EuclideanPose, Pose, RigidPose, manifold_dim,
-                         pose_difference, quat_normalize, retract)
+from .kinematics import (Pose, manifold_dim, pose_difference, read_pose,
+                         retract)
 from .system import ReferenceSample
 
 
@@ -123,21 +123,15 @@ class Trajectory:
                                (1 - w) * a.accel + w * b.accel, time=t)
 
 
-def _pose_from_values(values, rigid: bool) -> Pose:
-    values = np.asarray(values, float)
-    if rigid:
-        if values.size != 7:
-            raise ValidationError("rigid pose needs 7 numbers (pos + quat)")
-        return RigidPose(values[:3], quat_normalize(values[3:]))
-    return EuclideanPose(values)
-
-
 def trajectory_from_dict(data: dict, rigid: bool) -> Trajectory:
+    """Segment trajectory from its JSON structure; a flat one lives in
+    the dimension of its start pose."""
     try:
-        start = _pose_from_values(data["start"], rigid)
+        dim = len(data["start"])
+        start = read_pose(data["start"], rigid, dim)
         segments = []
         for raw in data.get("segments", []):
-            target = _pose_from_values(raw["to"], rigid) \
+            target = read_pose(raw["to"], rigid, dim) \
                 if "to" in raw else None
             segments.append(Segment(kind=raw["type"],
                                     duration=float(raw["duration"]),
@@ -163,7 +157,7 @@ def _load_trajectory_csv(path: str, rigid: bool, dim: int) -> Trajectory:
             f"trajectory needs {want_min} (poses only) or {full} columns")
     samples = []
     for row in rows:
-        pose = _pose_from_values(row[1:1 + pose_width], rigid)
+        pose = read_pose(row[1:1 + pose_width], rigid, dim)
         if len(row) == full:
             vel = np.asarray(row[1 + pose_width:1 + pose_width + dim])
             acc = np.asarray(row[1 + pose_width + dim:])

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paractl import (ParseError, ValidationError, load_config, parse_config,
+from paractl import (EuclideanPose, ForceConstraints, ParseError,
+                     RankDeficient, RobotGeometry, ValidationError,
+                     distribute, jacobian, load_config, parse_config,
                      save_config)
 from paractl.cli import run_command
 from paractl.config import config_to_dict
@@ -56,6 +58,40 @@ def test_degenerate_geometry_rank_error():
     data["actuators"] = [{"anchor": [2.0, -1.0]}, {"anchor": [2.0, 3.0]},
                          {"anchor": [2.0, 5.0]}]
     with pytest.raises(ValidationError, match="rank"):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("anchors", [
+    None,
+    [[0.0, 0.0]],
+    [[2.0, -1.0], [2.0, 3.0], [2.0, 5.0]],
+    # singular values 1.7 and 4.1e-7: above the 1e-8 that config
+    # validation once applied on its own, below the force solver's rank
+    # tolerance (an eigenvalue ratio of 5.6e-14 in J^T J)
+    [[2.0 + 1e-6, -1.0], [2.0, 3.0], [2.0, 5.0]],
+], ids=["planar3", "one_actuator", "on_a_line", "near_a_line"])
+def test_config_rank_is_the_force_solvers(anchors):
+    # a home geometry is rejected exactly when `distribute` would raise
+    # RankDeficient there
+    data = planar3_dict()
+    if anchors is not None:
+        n = len(anchors)
+        data["actuators"] = [{"anchor": anchor} for anchor in anchors]
+        data["constraints"] = {"t_min": [0.5] * n, "f_cmd_max": [50.0] * n}
+    geom = RobotGeometry.point_mass([a["anchor"] for a in data["actuators"]])
+    n = geom.actuator_count
+    try:
+        distribute(jacobian(geom, EuclideanPose(data["home_pose"])),
+                   np.array([0.0, 9.81]), np.zeros(n), np.full(n, 100.0),
+                   ForceConstraints.uniform(n, 0.5, 50.0))
+        deficient = False
+    except RankDeficient:
+        deficient = True
+    assert deficient == (anchors is not None)
+    if deficient:
+        with pytest.raises(ValidationError, match="rank"):
+            parse_config(data)
+    else:
         parse_config(data)
 
 

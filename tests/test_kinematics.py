@@ -390,3 +390,35 @@ def test_manifold_dim():
     assert manifold_dim(RigidPose.identity()) == 6
     assert cube8_geometry().manifold_dim == 6
     assert cube8_home().position[2] == 1.5
+
+
+HOME7 = [0.0, 0.0, 1.5, 1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("values, rigid", [
+    ([2.0], False), ([2.0, 1.0, 0.0], False), ([2.0, np.nan], False),
+    ([np.inf, 1.0], False), (["2", "x"], False), ([[2.0], [1.0, 0.0]], False),
+    (HOME7[:6], True), (HOME7 + [0.0], True), ([np.nan, *HOME7[1:]], True),
+    ([*HOME7[:3], np.nan, 0.0, 0.0, 0.0], True),
+    ([*HOME7[:3], 0.0, 0.0, 0.0, 0.0], True),
+    ([*HOME7[:3], 1e-170, 0.0, 0.0, 0.0], True),
+    ([*HOME7[:3], 1e200, 0.0, 0.0, 0.0], True),
+], ids=["flat_short", "flat_long", "flat_nan", "flat_inf", "flat_text",
+        "flat_ragged", "se3_short", "se3_long", "se3_nan_position",
+        "se3_nan_quaternion", "se3_zero_quaternion",
+        "se3_underflowing_quaternion", "se3_overflowing_quaternion"])
+def test_read_pose_rejects_malformed(values, rigid):
+    with pytest.raises(ValidationError):
+        kinematics.read_pose(values, rigid, 2)
+
+
+def test_read_pose_normalizes_quaternion_once():
+    quat = np.array([0.3, -0.2, 0.9, 0.1])
+    pose = kinematics.read_pose([1.0, 2.0, 3.0, *(2.0 * quat)], True, 6)
+    assert pose.position.tolist() == [1.0, 2.0, 3.0]
+    assert pose.quaternion.tobytes() == quat_normalize(2.0 * quat).tobytes()
+    assert kinematics.read_pose(HOME7, True, 6).quaternion.tolist() == \
+        [1.0, 0.0, 0.0, 0.0]
+    flat = kinematics.read_pose(["2", "1"], False, 2)
+    assert isinstance(flat, EuclideanPose)
+    assert flat.coords.tolist() == [2.0, 1.0]

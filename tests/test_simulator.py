@@ -436,3 +436,83 @@ def test_metrics_count_brake_rows():
     table[:, -1] = [0.0, 0.0, 1.0]
     trace = TraceLog(manifold_dim=1, actuator_count=1, table=table)
     assert tracking_metrics(trace).brake_events == 1
+
+
+# the actuator models of the test suite: ideal, back-EMF, lag, biproper,
+# a lag with back-EMF, and higher value-rate terms (plant only)
+REALIZED_MODELS = {
+    "ideal": ActuatorModel.ideal(0.0),
+    "back_emf": ActuatorModel.ideal(0.4),
+    "lag": ActuatorModel(rate_coeffs=(0.0,), force_deriv_coeffs=(0.05,)),
+    "biproper": ActuatorModel(rate_coeffs=(0.0,), force_deriv_coeffs=(0.05,),
+                              command_deriv_coeffs=(0.02,)),
+    "back_emf_lag": ActuatorModel(rate_coeffs=(0.3,),
+                                  force_deriv_coeffs=(0.05,),
+                                  command_deriv_coeffs=(0.01,)),
+    "k_higher": ActuatorModel(rate_coeffs=(0.4, 0.02, 0.001)),
+}
+
+
+def _filter_formula(act):
+    """The command filter's realization as first written, frozen here."""
+    nc = len(act.force_deriv_coeffs)
+    den = np.concatenate([[1.0], act.force_deriv_coeffs])
+    lead = den[-1]
+    den = den / lead
+    num = np.zeros(nc + 1)
+    num[:len(act.command_deriv_coeffs) + 1] = np.concatenate(
+        [[1.0], act.command_deriv_coeffs]) / lead
+    feed = num[-1]
+    a = np.zeros((nc, nc))
+    a[:-1, 1:] = np.eye(nc - 1)
+    a[-1, :] = -den[:-1]
+    b = np.zeros(nc)
+    b[-1] = 1.0
+    return a, b, num[:-1] - feed * den[:-1], feed
+
+
+def _plant_formula(model, mass):
+    """The single-actuator plant's realization as first written, frozen
+    here."""
+    from paractl.actuator import _plant_polynomials
+    p_inf, p_rate, q = _plant_polynomials(model)
+    p = p_inf + p_rate / mass
+    scale = np.max(np.abs(p))
+    p = np.trim_zeros(np.where(np.abs(p) > 1e-14 * scale, p, 0.0), trim="b")
+    deg = p.size - 1
+    lead = p[-1]
+    pn = p / lead
+    qn = np.zeros(deg)
+    qn[:q.size] = q / lead
+    a = np.zeros((deg, deg))
+    a[:-1, 1:] = np.eye(deg - 1)
+    a[-1, :] = -pn[:-1]
+    b = np.zeros((deg, 1))
+    b[-1, 0] = 1.0
+    c = np.zeros((1, deg))
+    c[0, :] = qn
+    return a, b, c
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(REALIZED_MODELS))
+def test_one_realization_matches_both_former_formulas(name):
+    from paractl.actuator import _plant_state_space
+    from paractl.simulator import _command_filter
+    act = REALIZED_MODELS[name]
+    for mass in (0.05, 0.3, 7.0, np.inf):
+        _same_bits(_plant_state_space(act, mass), _plant_formula(act, mass))
+    if act.rate_coeffs[1:]:
+        return   # the plant simulation rejects higher value-rate terms
+    filt = _command_filter(act)
+    if not act.force_deriv_coeffs:
+        assert filt is None
+    else:
+        _same_bits(filt, _filter_formula(act))
