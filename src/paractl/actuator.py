@@ -126,7 +126,8 @@ _DISCRETIZE_CACHE: dict = {}
 
 def discretize(A: np.ndarray, B: np.ndarray,
                dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization of (A, B) over one tick."""
+    """Exact zero-order-hold discretization of (A, B) over one tick, as
+    read-only arrays cached per (A, B, dt)."""
     key = (A.tobytes(), B.tobytes(), A.shape, dt)
     hit = _DISCRETIZE_CACHE.get(key)
     if hit is not None:
@@ -140,6 +141,8 @@ def discretize(A: np.ndarray, B: np.ndarray,
         block[:s, s:] = B * dt
         big = expm(block)
         result = (big[:s, :s], big[:s, s:])
+    for array in result:
+        array.setflags(write=False)   # cached: callers share it
     if len(_DISCRETIZE_CACHE) > 256:
         _DISCRETIZE_CACHE.clear()
     _DISCRETIZE_CACHE[key] = result

@@ -131,7 +131,9 @@ def _cmd_workspace(args) -> int:
     try:
         nx, ny = (int(x) for x in args.grid.split(","))
     except ValueError:
-        raise _ArgumentError("--grid needs NX,NY") from None
+        nx = ny = 0
+    if min(nx, ny) < 1:
+        raise _ArgumentError("--grid needs two positive integers NX,NY")
     model = cfg.model
     d = model.manifold_dim
     if d < 2:
@@ -191,10 +193,7 @@ def run_command(argv) -> int:
         if args.command == "tune-check":
             return _cmd_tune_check(args)
         raise _ArgumentError(f"unknown command {args.command!r}")
-    except _ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParactlError as exc:
+    except (_ArgumentError, ParactlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,19 +39,43 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _number(value, where: str) -> float:
+    """`value` as a finite float, else ValidationError naming `where`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"{where} needs a finite number")
+    return number
+
+
+def _numbers(value, where: str, size: int | None = None) -> np.ndarray:
+    """`value` as an array of finite floats, `size` of them if given, else
+    ValidationError naming `where`."""
+    try:
+        array = np.asarray(value, float)
+        ok = np.isfinite(array).all() and size in (None, array.size)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        count = "" if size is None else f"{size} "
+        raise ValidationError(f"{where} needs {count}finite numbers")
+    return array
+
+
 def _parse_gains(block: dict, back_emf: float,
                  no_load_mass: float) -> ControllerGains:
     kind = _require(block, "type", "controller")
     try:
         if kind == "pd":
-            return pd_gains(float(_require(block, "kp", "controller")),
-                            float(_require(block, "kd", "controller")),
-                            back_emf=back_emf, no_load_mass=no_load_mass)
+            kp, kd = (_number(_require(block, key, "controller"),
+                              f"controller {key}") for key in ("kp", "kd"))
+            return pd_gains(kp, kd, back_emf=back_emf,
+                            no_load_mass=no_load_mass)
         if kind == "statespace":
-            a = np.asarray(_require(block, "A", "controller"), float)
-            b = np.asarray(_require(block, "B", "controller"), float)
-            c = np.asarray(_require(block, "C", "controller"), float)
-            d = np.asarray(_require(block, "D", "controller"), float)
+            a, b, c, d = (_numbers(_require(block, key, "controller"),
+                                   f"controller {key}") for key in "ABCD")
             gains = ControllerGains(A=a, B=b, C=c, D=d, back_emf=back_emf,
                                     no_load_mass=no_load_mass)
             if "l" in block and int(block["l"]) != gains.derivative_order:
@@ -71,13 +96,11 @@ def parse_config(data: dict) -> RobotConfig:
     actuators = _require(data, "actuators", "config")
     anchors, attachments = [], []
     for i, entry in enumerate(actuators):
-        anchor = np.asarray(_require(entry, "anchor", f"actuator {i}"), float)
-        if anchor.size != world_dim:
-            raise ValidationError(
-                f"actuator {i} anchor needs {world_dim} numbers")
-        anchors.append(anchor)
-        attachments.append(np.asarray(entry.get("attachment",
-                                                [0.0] * 3), float))
+        anchors.append(_numbers(_require(entry, "anchor", f"actuator {i}"),
+                                f"actuator {i} anchor", world_dim))
+        if rigid:
+            attachments.append(_numbers(entry.get("attachment", [0.0] * 3),
+                                        f"actuator {i} attachment", 3))
     if rigid:
         geom = RobotGeometry.rigid(np.asarray(anchors),
                                    np.asarray(attachments))
@@ -85,13 +108,13 @@ def parse_config(data: dict) -> RobotConfig:
         geom = RobotGeometry.point_mass(np.asarray(anchors))
 
     body = _require(data, "body", "config")
-    mass = float(_require(body, "mass", "body"))
-    gravity = np.asarray(_require(body, "gravity", "body"), float)
-    inertia = np.asarray(body["inertia"], float) if "inertia" in body else None
+    mass = _number(_require(body, "mass", "body"), "body mass")
+    gravity = _numbers(_require(body, "gravity", "body"), "body gravity",
+                       world_dim)
+    inertia = _numbers(body["inertia"], "body inertia") \
+        if "inertia" in body else None
     if mass <= 0.0:
         raise ValidationError("body mass must be positive")
-    if gravity.size != world_dim:
-        raise ValidationError(f"gravity needs {world_dim} numbers")
     if rigid:
         if inertia is None or inertia.shape != (3, 3):
             raise ValidationError("se3 body needs a 3x3 inertia")
@@ -101,14 +124,15 @@ def parse_config(data: dict) -> RobotConfig:
                 "inertia must be symmetric positive definite")
 
     params = _require(data, "actuator_params", "config")
-    m0 = float(_require(params, "m0", "actuator_params"))
-    k0 = float(_require(params, "k0", "actuator_params"))
+    m0, k0 = (_number(_require(params, key, "actuator_params"),
+                      f"actuator_params {key}") for key in ("m0", "k0"))
     if m0 < 0.0:
         raise ValidationError("m0 must be nonnegative")
-    actuator = ActuatorModel(
-        rate_coeffs=(k0, *map(float, params.get("k_higher", []))),
-        force_deriv_coeffs=tuple(map(float, params.get("c", []))),
-        command_deriv_coeffs=tuple(map(float, params.get("c_cmd", []))))
+    k_higher, c, c_cmd = (
+        tuple(_numbers(params.get(key, []), f"actuator_params {key}")
+              .tolist()) for key in ("k_higher", "c", "c_cmd"))
+    actuator = ActuatorModel(rate_coeffs=(k0, *k_higher),
+                             force_deriv_coeffs=c, command_deriv_coeffs=c_cmd)
     inertial = InertialParams(body_mass=mass, gravity=gravity,
                               inertia=inertia, actuator_mass=m0)
     model = RobotModel(geometry=geom, inertial=inertial, actuator=actuator)
@@ -121,7 +145,7 @@ def parse_config(data: dict) -> RobotConfig:
             max_command=np.asarray(_require(cons, "f_cmd_max", "constraints"),
                                    float))
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValidationError(f"constraints: {exc}") from exc
     n = geom.actuator_count
     if constraints.min_tension.size != n or \
             constraints.max_command.size != n:
@@ -134,16 +158,23 @@ def parse_config(data: dict) -> RobotConfig:
                                                 "measured") == "reference"
 
     sim_block = data.get("sim", {})
-    sim = SimConfig(dt_control=float(sim_block.get("dt_control", 1e-3)),
-                    dt_physics=float(sim_block.get("dt_physics", 2.5e-4)),
-                    duration=float(sim_block.get("duration", 10.0)),
-                    noise_sigma=float(sim_block.get("noise_sigma", 0.0)))
+    sim = SimConfig(**{key: _number(sim_block.get(key, default),
+                                    f"sim {key}")
+                       for key, default in (("dt_control", 1e-3),
+                                            ("dt_physics", 2.5e-4),
+                                            ("duration", 10.0),
+                                            ("noise_sigma", 0.0))})
 
-    home = read_pose(_require(data, "home_pose", "config"), rigid, world_dim)
-    workspace = data.get("workspace", {})
+    home = _require(data, "home_pose", "config")
+    try:
+        home = read_pose(home, rigid, world_dim)
+    except ValidationError as exc:
+        raise ValidationError(f"home_pose: {exc}") from None
+    workspace = data.get("workspace", {})   # a box of positions
+    ws_min, ws_max = (_numbers(workspace.get(key, [0.0] * world_dim),
+                               f"workspace {key}", world_dim)
+                      for key in ("min", "max"))
     d = geom.manifold_dim
-    ws_min = np.asarray(workspace.get("min", [0.0] * d), float)
-    ws_max = np.asarray(workspace.get("max", [0.0] * d), float)
 
     # cross-module invariants at the home pose, rank as `distribute` has it
     gram = gram_matrix(geom, home)

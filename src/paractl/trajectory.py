@@ -31,7 +31,7 @@ class Segment:
     def __post_init__(self):
         if self.kind not in ("hold", "line", "quintic"):
             raise ValidationError(f"unknown segment kind {self.kind!r}")
-        if self.duration <= 0.0:
+        if not self.duration > 0.0:
             raise ValidationError("segment duration must be positive")
         if self.kind != "hold" and self.target is None:
             raise ValidationError(f"{self.kind} segment needs a target pose")
@@ -136,40 +136,46 @@ def trajectory_from_dict(data: dict, rigid: bool) -> Trajectory:
             segments.append(Segment(kind=raw["type"],
                                     duration=float(raw["duration"]),
                                     target=target))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad trajectory structure: {exc}") from exc
     return Trajectory(start, segments=segments)
 
 
-def _load_trajectory_csv(path: str, rigid: bool, dim: int) -> Trajectory:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty trajectory file") from None
-        rows = [[float(x) for x in row] for row in reader if row]
-    pose_width = 7 if rigid else dim
-    want_min = 1 + pose_width
-    full = 1 + pose_width + 2 * dim
+def _load_trajectory_csv(fh, rigid: bool, dim: int) -> Trajectory:
+    """Sampled trajectory from an open CSV file; errors name the line."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    want_min = 1 + (7 if rigid else dim)
+    full = want_min + 2 * dim
     if len(header) not in (want_min, full):
-        raise ParseError(
-            f"trajectory needs {want_min} (poses only) or {full} columns")
+        raise ParseError(f"line 1: trajectory needs {want_min} (poses only) "
+                         f"or {full} columns")
     samples = []
-    for row in rows:
-        pose = read_pose(row[1:1 + pose_width], rigid, dim)
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, the header has "
+                                 f"{len(header)}")
+            row = [float(x) for x in row]
+            pose = read_pose(row[1:want_min], rigid, dim)
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(f"line {reader.line_num}: {exc}") from None
         if len(row) == full:
-            vel = np.asarray(row[1 + pose_width:1 + pose_width + dim])
-            acc = np.asarray(row[1 + pose_width + dim:])
+            vel = np.asarray(row[want_min:want_min + dim])
+            acc = np.asarray(row[want_min + dim:])
         else:
             vel = np.zeros(dim)
             acc = np.zeros(dim)
         samples.append(ReferenceSample(pose, vel, acc, time=row[0]))
+    if not samples:
+        raise ParseError("no sample rows")
     traj = Trajectory(samples[0].pose, samples=samples)   # checks the times
-    if len(header) == want_min:
-        _fill_derivatives(traj.samples)
-    else:
+    if len(header) == full:
         _check_derivatives(traj.samples)
+    elif len(samples) > 1:   # a single pose holds still
+        _fill_derivatives(traj.samples)
     return traj
 
 
@@ -205,13 +211,26 @@ def _check_derivatives(samples: list[ReferenceSample],
 
 
 def load_trajectory(path: str, rigid: bool, dim: int) -> Trajectory:
-    """Read a trajectory from a .json segment file or a .csv sample file."""
-    if str(path).endswith(".csv"):
-        return _load_trajectory_csv(path, rigid, dim)
+    """Read a trajectory from a .json segment file or a .csv sample file.
+
+    Any fault raises ParseError or ValidationError naming the file, and
+    the line where it is known; so does a trajectory whose poses do not
+    have the robot's `dim` freedoms.
+    """
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, newline="") as fh:
+            if str(path).endswith(".csv"):
+                traj = _load_trajectory_csv(fh, rigid, dim)
+            else:
+                traj = trajectory_from_dict(json.load(fh), rigid)
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return trajectory_from_dict(data, rigid)
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    if manifold_dim(traj.start) != dim:
+        raise ValidationError(f"{path}: trajectory poses have "
+                              f"{manifold_dim(traj.start)} freedoms, the "
+                              f"robot {dim}")
+    return traj

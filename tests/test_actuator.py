@@ -8,6 +8,7 @@ from oracles import closed_loop_matrix_poles, routh_hurwitz_2nd_order
 from paractl import (ActuatorModel, ControllerGains, closed_loop_poles,
                      feedforward_step, open_loop_command, pd_gains,
                      simulate_single_actuator, stability_check)
+from paractl.actuator import discretize
 
 IDEAL = ActuatorModel.ideal(0.0)
 
@@ -373,3 +374,15 @@ NAN_MASS_CALLS = {
 def test_nan_mass_rejected(call):
     with pytest.raises(ValueError):
         NAN_MASS_CALLS[call]()
+
+
+def test_discretize_results_are_read_only():
+    a, b = np.array([[0.0]]), np.array([[1.0]])
+    ad, bd = discretize(a, b, 0.125)
+    for array in (ad, bd):
+        with pytest.raises(ValueError):
+            array *= 2.0
+    again = discretize(a, b, 0.125)
+    assert again[0].tolist() == [[1.0]] and again[1].tolist() == [[0.125]]
+    empty = discretize(np.zeros((0, 0)), np.zeros((0, 1)), 0.125)
+    assert not any(array.flags.writeable for array in empty)

@@ -395,3 +395,109 @@ def test_cli_simulate_rewrites_shorter_trace_in_place(tmp_path, capsys):
     fresh = tmp_path / "fresh.csv"
     simulate(fresh, "0.1")
     assert filecmp.cmp(out, fresh, shallow=False)
+
+
+def _set(path, value):
+    """An edit of a config dict: the entry at `path` becomes `value`."""
+    def edit(data):
+        *parents, key = path
+        for part in parents:
+            data = data[part]
+        data[key] = value
+    return edit
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("config, edit, field", [
+    (PLANAR3, _set(("body", "mass"), NAN), "body mass"),
+    (PLANAR3, _set(("body", "mass"), "heavy"), "body mass"),
+    (PLANAR3, _set(("body", "gravity", 1), NAN), "body gravity"),
+    (PLANAR3, _set(("actuator_params", "m0"), NAN), "m0"),
+    (PLANAR3, _set(("actuator_params", "m0"), INF), "m0"),
+    (PLANAR3, _set(("actuator_params", "m0"), "light"), "m0"),
+    (PLANAR3, _set(("actuator_params", "k0"), NAN), "k0"),
+    (PLANAR3, _set(("actuator_params", "c"), [NAN]), "actuator_params c"),
+    (PLANAR3, _set(("controller", "kp"), NAN), "controller kp"),
+    (PLANAR3, _set(("actuators", 0, "anchor", 0), NAN), "actuator 0 anchor"),
+    (PLANAR3, _set(("actuators", 1, "anchor"), "here"), "actuator 1 anchor"),
+    (PLANAR3, _set(("actuators", 2, "anchor"), [2.0]), "actuator 2 anchor"),
+    (PLANAR3, _set(("sim", "duration"), "long"), "sim duration"),
+    (PLANAR3, _set(("home_pose", 1), NAN), "home_pose"),
+    (PLANAR3, _set(("workspace", "min"), [0.6]), "workspace min"),
+    (PLANAR3, _set(("workspace", "max"), [3.4, 2.4, 1.0]), "workspace max"),
+    (CUBE8, _set(("home_pose",), [0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0]),
+     "home_pose"),
+    (CUBE8, _set(("home_pose", 4), NAN), "home_pose"),
+    (CUBE8, _set(("body", "inertia", 0, 0), NAN), "body inertia"),
+    (CUBE8, _set(("actuators", 3, "attachment", 2), INF),
+     "actuator 3 attachment"),
+    (CUBE8, _set(("workspace", "min"), [-1.2] * 6), "workspace min"),
+], ids=["mass_nan", "mass_text", "gravity_nan", "m0_nan", "m0_inf",
+        "m0_text", "k0_nan", "c_nan", "kp_nan", "anchor_nan", "anchor_text",
+        "anchor_short", "duration_text", "home_nan", "workspace_min_short",
+        "workspace_max_long", "cube8_home_zero_quaternion", "cube8_home_nan",
+        "cube8_inertia_nan", "cube8_attachment_inf",
+        "cube8_workspace_min_long"])
+def test_config_rejects_bad_numbers_naming_the_field(config, edit, field):
+    with open(config) as fh:
+        data = json.load(fh)
+    edit(data)
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        parse_config(data)
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command, message", [
+    (lambda tmp: ["simulate", "--config", PLANAR3, "--trajectory", _write(
+        tmp / "t.json", '{"start": [2.0, 1.0, 0.5], "segments": '
+        '[{"type": "hold", "duration": 1.0}]}'), "--out", str(tmp / "o.csv")],
+     "t.json: trajectory poses have 3 freedoms, the robot 2"),
+    (lambda tmp: ["simulate", "--config", PLANAR3, "--trajectory",
+                  str(tmp / "missing.json"), "--out", str(tmp / "o.csv")],
+     "missing.json: "),
+    (lambda tmp: ["simulate", "--config", PLANAR3, "--trajectory", _write(
+        tmp / "t.csv", "t,pose_1,pose_2\n0.0,2.0,1.0\n0.1,2.0\n"),
+        "--out", str(tmp / "o.csv")],
+     "t.csv: line 3: 2 fields"),
+    (lambda tmp: ["simulate", "--config", PLANAR3, "--trajectory", _write(
+        tmp / "t.csv", "t,pose_1,pose_2\n0.0,2.0,1.0\n0.1,2.0,abc\n"),
+        "--out", str(tmp / "o.csv")],
+     "t.csv: line 3: could not convert"),
+    (lambda tmp: ["simulate", "--config", PLANAR3, "--trajectory", _write(
+        tmp / "t.csv", "t,pose_1,pose_2\n0.0,2.0,1.0\n0.1,nan,1.0\n"),
+        "--out", str(tmp / "o.csv")],
+     "t.csv: line 3: a pose needs 2 finite numbers"),
+    (lambda tmp: ["simulate", "--config", PLANAR3, "--trajectory", _write(
+        tmp / "t.json", '{"start": [2.0, 1.0], "segments": '
+        '[{"type": "hold", "duration": "abc"}]}'), "--out", str(tmp / "o.csv")],
+     "t.json: bad trajectory structure"),
+    (lambda tmp: ["simulate", "--config", CUBE8, "--trajectory", _write(
+        tmp / "t.json", '{"start": [0, 0, 1.5, 1, 0, 0, 0], "segments": '
+        '[{"type": "line", "to": [0, 0, 1.5, 0, 0, 0, 0], "duration": 1}]}'),
+        "--out", str(tmp / "o.csv")],
+     "t.json: a pose needs 7 finite numbers"),
+    (lambda tmp: ["simulate", "--config", PLANAR3, "--trajectory", MOVE,
+                  "--out", str(tmp / "missing" / "o.csv")],
+     "o.csv"),
+    (lambda tmp: ["analyze", "--config", PLANAR3, "--pose", "2,x"],
+     "a pose needs 2 finite numbers"),
+    (lambda tmp: ["analyze", "--config", PLANAR3, "--pose", "2,1,0"],
+     "a pose needs 2 finite numbers"),
+    (lambda tmp: ["workspace", "--config", PLANAR3, "--grid=-1,3",
+                  "--out", str(tmp / "map.csv")],
+     "--grid needs two positive integers"),
+], ids=["start_too_long", "missing_file", "csv_short_row", "csv_text_field",
+        "csv_nan_pose", "json_text_duration", "json_zero_quaternion",
+        "out_dir_missing", "analyze_text_pose", "analyze_long_pose",
+        "grid_negative"])
+def test_cli_malformed_input_is_an_error_line(tmp_path, capsys, command,
+                                              message):
+    assert run_command(command(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -187,3 +187,25 @@ def test_csv_trajectory_sampling_matches_linear_scan(tmp_path):
         np.testing.assert_array_equal(got.pose.coords, pose)
         np.testing.assert_array_equal(got.velocity, vel)
         np.testing.assert_array_equal(got.accel, acc)
+
+
+def test_csv_single_pose_holds_still(tmp_path):
+    # one pose-only row has no neighbour to difference against
+    path = tmp_path / "traj.csv"
+    path.write_text("t,pose_1,pose_2\n0.0,2.0,1.0\n")
+    sample = load_trajectory(str(path), rigid=False, dim=2).sample(0.5)
+    assert sample.pose.coords.tolist() == [2.0, 1.0]
+    assert not sample.velocity.any() and not sample.accel.any()
+
+
+def test_json_targets_live_where_the_start_does():
+    with pytest.raises(ValidationError):
+        trajectory_from_dict(
+            {"start": [2.0, 1.0],
+             "segments": [{"type": "line", "to": [2.1, 1.0, 0.0],
+                           "duration": 0.5}]}, rigid=False)
+
+
+def test_segment_rejects_nan_duration():
+    with pytest.raises(ValidationError):
+        Segment("hold", float("nan"))
