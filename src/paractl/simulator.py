@@ -122,10 +122,10 @@ def _unpack(model: RobotModel, y: np.ndarray, time: float) -> PlantState:
 def _command_filter(act):
     """Per-actuator linear filter from command force to supplied force.
 
-    None for the ideal model, else (a, b, c, feed): each actuator's filter
-    states s follow s' = a s + b f_cmd and supply s . c + feed f_cmd, the
-    direct feedthrough `feed` being nonzero only when the command and
-    force derivative orders match.  Value-rate coefficients beyond the
+    None for the ideal model, else (a, b, c, feed), cached and read-only:
+    each actuator's filter states s follow s' = a s + b f_cmd and supply
+    s . c + feed f_cmd, the direct feedthrough `feed` being nonzero only
+    when the command and force derivative orders match.  Value-rate coefficients beyond the
     back-EMF term would demand value-acceleration feedthrough inside the
     force law, which the explicit integrator cannot honor, so they are
     rejected here (the eigenvalue analysis still accepts them).
@@ -140,8 +140,11 @@ def _command_filter(act):
             "command-derivative order exceeds force-derivative order")
     if nc == 0:
         return None
-    return _realization(np.array([1.0, *act.command_deriv_coeffs]),
+    filt = _realization(np.array([1.0, *act.command_deriv_coeffs]),
                         np.array([1.0, *act.force_deriv_coeffs]))
+    for array in filt[:3]:
+        array.setflags(write=False)   # cached: every caller shares it
+    return filt
 
 
 def _derivative(model: RobotModel, y: np.ndarray, forces_cmd: np.ndarray,

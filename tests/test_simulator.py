@@ -516,3 +516,5 @@ def test_one_realization_matches_both_former_formulas(name):
         assert filt is None
     else:
         _same_bits(filt, _filter_formula(act))
+        # cached per model, so no caller may write into it
+        assert not any(array.flags.writeable for array in filt[:3])
