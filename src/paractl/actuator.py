@@ -206,7 +206,7 @@ def _leverrier(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _check_masses(masses) -> None:
-    if np.any(~(np.asarray(masses) > 0.0)):
+    if not (np.asarray(masses) > 0.0).all():
         raise ValueError("passive-load mass must be positive (or infinite)")
 
 

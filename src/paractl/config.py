@@ -39,6 +39,13 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _object(value, where: str) -> dict:
+    """`value` if it is a JSON object, else ValidationError naming `where`."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} needs an object")
+    return value
+
+
 def _number(value, where: str) -> float:
     """`value` as a finite float, else ValidationError naming `where`."""
     try:
@@ -78,7 +85,8 @@ def _parse_gains(block: dict, back_emf: float,
                                    f"controller {key}") for key in "ABCD")
             gains = ControllerGains(A=a, B=b, C=c, D=d, back_emf=back_emf,
                                     no_load_mass=no_load_mass)
-            if "l" in block and int(block["l"]) != gains.derivative_order:
+            if "l" in block and _number(block["l"], "controller l") \
+                    != gains.derivative_order:
                 raise ValidationError("controller l disagrees with D width")
             return gains
     except ValueError as exc:
@@ -87,15 +95,18 @@ def _parse_gains(block: dict, back_emf: float,
 
 
 def parse_config(data: dict) -> RobotConfig:
-    manifold = _require(data, "manifold", "config")
+    manifold = _require(_object(data, "config"), "manifold", "config")
     if manifold not in _MANIFOLDS:
         raise ValidationError(f"manifold must be one of {_MANIFOLDS}")
     rigid = manifold == "se3"
     world_dim = 3 if rigid else int(manifold[-1])
 
     actuators = _require(data, "actuators", "config")
+    if not isinstance(actuators, list):
+        raise ValidationError("actuators needs a list of objects")
     anchors, attachments = [], []
     for i, entry in enumerate(actuators):
+        entry = _object(entry, f"actuator {i}")
         anchors.append(_numbers(_require(entry, "anchor", f"actuator {i}"),
                                 f"actuator {i} anchor", world_dim))
         if rigid:
@@ -107,7 +118,7 @@ def parse_config(data: dict) -> RobotConfig:
     else:
         geom = RobotGeometry.point_mass(np.asarray(anchors))
 
-    body = _require(data, "body", "config")
+    body = _object(_require(data, "body", "config"), "body")
     mass = _number(_require(body, "mass", "body"), "body mass")
     gravity = _numbers(_require(body, "gravity", "body"), "body gravity",
                        world_dim)
@@ -123,7 +134,8 @@ def parse_config(data: dict) -> RobotConfig:
             raise ValidationError(
                 "inertia must be symmetric positive definite")
 
-    params = _require(data, "actuator_params", "config")
+    params = _object(_require(data, "actuator_params", "config"),
+                     "actuator_params")
     m0, k0 = (_number(_require(params, key, "actuator_params"),
                       f"actuator_params {key}") for key in ("m0", "k0"))
     if m0 < 0.0:
@@ -137,7 +149,7 @@ def parse_config(data: dict) -> RobotConfig:
                               inertia=inertia, actuator_mass=m0)
     model = RobotModel(geometry=geom, inertial=inertial, actuator=actuator)
 
-    cons = _require(data, "constraints", "config")
+    cons = _object(_require(data, "constraints", "config"), "constraints")
     try:
         constraints = ForceConstraints(
             min_tension=np.asarray(_require(cons, "t_min", "constraints"),
@@ -152,12 +164,13 @@ def parse_config(data: dict) -> RobotConfig:
         raise ValidationError("constraint vectors must have one entry per "
                               "actuator")
 
-    controller_block = dict(_require(data, "controller", "config"))
+    controller_block = dict(_object(_require(data, "controller", "config"),
+                                    "controller"))
     gains = _parse_gains(controller_block, back_emf=k0, no_load_mass=m0)
     evaluate_at_reference = controller_block.get("evaluate_at",
                                                 "measured") == "reference"
 
-    sim_block = data.get("sim", {})
+    sim_block = _object(data.get("sim", {}), "sim")
     sim = SimConfig(**{key: _number(sim_block.get(key, default),
                                     f"sim {key}")
                        for key, default in (("dt_control", 1e-3),
@@ -170,7 +183,8 @@ def parse_config(data: dict) -> RobotConfig:
         home = read_pose(home, rigid, world_dim)
     except ValidationError as exc:
         raise ValidationError(f"home_pose: {exc}") from None
-    workspace = data.get("workspace", {})   # a box of positions
+    # a box of positions
+    workspace = _object(data.get("workspace", {}), "workspace")
     ws_min, ws_max = (_numbers(workspace.get(key, [0.0] * world_dim),
                                f"workspace {key}", world_dim)
                       for key in ("min", "max"))
@@ -200,7 +214,10 @@ def load_config(path: str) -> RobotConfig:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return parse_config(data)
+    try:
+        return parse_config(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def config_to_dict(cfg: RobotConfig) -> dict:

@@ -104,7 +104,7 @@ def _body_mass_matrix(model: RobotModel, pose: Pose) -> np.ndarray:
     inert = model.inertial
     if isinstance(pose, RigidPose):
         m = np.zeros((6, 6))
-        m[:3, :3] = inert.body_mass * np.eye(3)
+        m.flat[:15:7] = inert.body_mass
         rot = pose.rotation
         m[3:, 3:] = rot @ inert.inertia @ rot.T
         return m
@@ -369,17 +369,20 @@ def _mass_split(model: RobotModel, pose: Pose):
     SingularMass unless every eigenvalue of M exceeds `_ZERO_TOL`, that is
     unless M - _ZERO_TOL I has a Cholesky factor (LAPACK dpotrf);
     ValidationError when either matrix is not finite (a non-finite pose
-    or inertial constant).
+    or inertial constant).  With m0 != 0 one finiteness test of M covers
+    J^T J too, since a non-finite entry of J^T J leaves one in M.
     """
     jac = jacobian(model.geometry, pose)
     gram = jac.T @ jac
     m = _body_mass_matrix(model, pose)
     m0 = model.inertial.actuator_mass
     if m0 != 0.0:
-        m = m + m0 * gram
-    if not (np.isfinite(m).all() and np.isfinite(gram).all()):
+        m += m0 * gram
+    if not (np.isfinite(m).all() and (m0 != 0.0 or np.isfinite(gram).all())):
         raise ValidationError("mass matrix or actuator directions not finite")
-    if dpotrf(m - _ZERO_TOL * np.eye(len(m)))[1] != 0:
+    shifted = m.copy()
+    shifted.flat[::len(m) + 1] -= _ZERO_TOL
+    if dpotrf(shifted)[1] != 0:
         raise SingularMass("mass matrix is not positive definite")
     return gram, m
 
@@ -388,7 +391,8 @@ def _masses_of(eigs: np.ndarray) -> np.ndarray:
     """Reciprocal eigenvalues, +inf where an eigenvalue is at most
     `_ZERO_TOL` (a direction the actuators cannot sense)."""
     sensed = eigs > _ZERO_TOL
-    return np.where(sensed, 1.0 / np.where(sensed, eigs, 1.0), np.inf)
+    return 1.0 / eigs if sensed.all() else \
+        np.where(sensed, 1.0 / np.where(sensed, eigs, 1.0), np.inf)
 
 
 def modal_decomposition(model: RobotModel, pose: Pose) -> ModalDecomposition:

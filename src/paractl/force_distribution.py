@@ -17,6 +17,7 @@ method itself and reported, never clamped away.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,36 +148,46 @@ def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     no primal step either.  Should rounding still add one, the free rows
     lose rank and their gram no longer factors: that add stood in for the
     certificate, so it raises InfeasibleWrench too.
+
+    The arithmetic that writes f, the multipliers, y and r is numpy's, on
+    the same operands as ever, so the iterates are pinned bit for bit.
+    The bookkeeping is in Python scalars: the free and bound indices as
+    sorted lists (fancy-indexing in `nonzero()` order), the search for
+    the most violated bound over `f.tolist()` and the ratio test over
+    floats (the first extremum wins, as for argmax), and no multiplier
+    step while the working set is empty.
     """
     n, d = jac.shape
     status = np.zeros(n, dtype=int)
     mult = np.zeros(n)
-    changes = 0
+    free, bound, changes = list(range(n)), [], 0
+    lo_at, hi_at = lo.tolist(), hi.tolist()
     while True:
-        gap = np.where(status == 0, np.maximum(lo - f, f - hi), 0.0)
-        p = int(np.argmax(gap))
-        if gap[p] <= 1e-12:
+        at, worst, p = f.tolist(), 1e-12, -1
+        for i in free:   # the most violated bound, the first of a tie
+            gap = max(lo_at[i] - at[i], at[i] - hi_at[i])
+            if gap > worst:
+                worst, p = gap, i
+        if p < 0:
             return status
-        side = 1 if f[p] > hi[p] else -1
-        target = hi[p] if side == 1 else lo[p]
+        side = 1 if at[p] > hi_at[p] else -1
+        target = hi_at[p] if side == 1 else lo_at[p]
         while True:
-            free = (status == 0).nonzero()[0]
-            bound = status.nonzero()[0]
             rows = jac[free]
             y = _spd_solve(rows.T @ rows, jac[p])
             if y is None:
                 raise InfeasibleWrench("wrench outside the achievable set "
                                        "(working set lost rank)")
-            r = -side * status[bound] * (jac[bound] @ y)
-            falling = (r > 0).nonzero()[0]
             t_drop, drop = np.inf, -1
-            if falling.size:
-                ratios = mult[bound[falling]] / r[falling]
-                k = int(np.argmin(ratios))
-                t_drop, drop = ratios[k], bound[falling[k]]
+            if bound:
+                r = -side * status[bound] * (jac[bound] @ y)
+                for i, held, rate in zip(bound, mult[bound].tolist(),
+                                         r.tolist()):
+                    if rate > 0 and held / rate < t_drop:
+                        t_drop, drop = held / rate, i
             reach = 1.0 - jac[p] @ y  # |z|^2 in [0, 1], zero when dependent
             t_add = side * (f[p] - target) / reach \
-                if free.size > d and reach > 1e-12 else np.inf
+                if len(free) > d and reach > 1e-12 else np.inf
             if t_add == t_drop == np.inf:
                 raise InfeasibleWrench("wrench outside the achievable set")
             if changes == MAX_ACTIVE_SET_ITERS:
@@ -185,13 +196,20 @@ def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             changes += 1
             step = min(t_add, t_drop)
             if t_add < np.inf:
-                f[free] += step * side * (rows @ y - (free == p))
-            mult[bound] -= step * r
+                move = rows @ y
+                move[free.index(p)] -= 1.0
+                f[free] += step * side * move
+            if bound:
+                mult[bound] -= step * r
             mult[p] += step
             if t_add <= t_drop:
                 status[p], f[p] = side, target
+                free.remove(p)
+                bisect.insort(bound, p)
                 break
             status[drop], mult[drop] = 0, 0.0
+            bound.remove(drop)
+            bisect.insort(free, drop)
 
 
 def active_pattern(con: ForceConstraints, forces: np.ndarray,
@@ -246,7 +264,7 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
     if not full_rank(gram):
         raise RankDeficient("jacobian has deficient column rank")
     lo, hi = _force_bounds(con, command_offset, no_load)
-    if np.any(lo > hi + 1e-12):
+    if (lo > hi + 1e-12).any():
         raise InfeasibleWrench("force box is empty")
     if pattern_hint is not None and len(pattern_hint) == jac.shape[0]:
         guess = _try_active_set(jac, wrench, lo, hi,
@@ -258,7 +276,7 @@ def distribute(jac: np.ndarray, wrench: np.ndarray,
     if weights is None:
         raise RankDeficient("jacobian gram does not factor")
     free_ln = jac @ weights
-    if np.all(free_ln >= lo - 1e-12) and np.all(free_ln <= hi + 1e-12):
+    if (free_ln >= lo - 1e-12).all() and (free_ln <= hi + 1e-12).all():
         return np.clip(free_ln, lo, hi)
     status = _dual_active_set(jac, lo, hi, free_ln.copy())
     solved = _pattern_forces(jac, wrench, lo, hi, status)

@@ -405,7 +405,8 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
     starts at 1e-10 and grows tenfold whenever a step fails to reduce the
     residual or the factorization fails; past 1e8 FK raises RankDeficient,
     and NoConvergence after `max_iters` accepted steps.  A non-finite
-    reading (or guess) raises ValidationError before the first step.
+    reading (or guess), or one whose residual exceeds 1e150 so that its
+    square would overflow, raises ValidationError before the first step.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape != (geom.actuator_count,):
@@ -415,10 +416,12 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
     pose = guess
     damping = 1e-10
     residual = inverse_kinematics(geom, pose) - lengths
-    cost = residual @ residual
-    if not math.isfinite(cost):
+    # refused before its square is formed: a NaN, an infinity, or a
+    # residual so large (e.g. a 1e300 reading) that the square overflows
+    if not np.abs(residual).max() < 1e150:
         raise ValidationError("actuator values or guess give a non-finite "
-                              "residual")
+                              "or overflowing residual")
+    cost = residual @ residual
     for _ in range(max_iters):
         if np.max(np.abs(residual)) <= 1e-12:
             return pose

@@ -4,6 +4,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +161,9 @@ def _load_trajectory_csv(fh, rigid: bool, dim: int) -> Trajectory:
                                  f"{len(header)}")
             row = [float(x) for x in row]
             pose = read_pose(row[1:want_min], rigid, dim)
+            if not all(map(math.isfinite, row[want_min:])):
+                raise ValueError("velocity and acceleration need finite "
+                                 "numbers")
         except (ValueError, ValidationError) as exc:
             raise ParseError(f"line {reader.line_num}: {exc}") from None
         if len(row) == full:

@@ -501,3 +501,45 @@ def test_cli_malformed_input_is_an_error_line(tmp_path, capsys, command,
     assert run_command(command(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("actuators", [5, 5, 5], "actuator 0 needs an object"),
+    ("body", 5, "body needs an object"),
+    ("actuator_params", [0.05, 0.1], "actuator_params needs an object"),
+    ("controller", 5, "controller needs an object"),
+    ("controller", {"type": "statespace", "A": [[0.0]], "B": [[1.0]],
+                    "C": [[1.0]], "D": [[1.0, 1.0]], "l": [2]},
+     "controller l needs a finite number"),
+    ("constraints", "tight", "constraints needs an object"),
+    ("sim", 5, "sim needs an object"),
+    ("workspace", [0.0, 1.0], "workspace needs an object"),
+], ids=["actuator_entry", "body", "actuator_params", "controller",
+        "controller_l", "constraints", "sim", "workspace"])
+def test_cli_structurally_wrong_config_is_an_error_line(tmp_path, capsys,
+                                                        field, value,
+                                                        message):
+    # a non-object where an object belongs once escaped as a raw TypeError
+    # or AttributeError; the error line names the file and the field
+    data = planar3_dict()
+    data[field] = value
+    path = _write(tmp_path / "wrong.json", json.dumps(data))
+    assert run_command(["validate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"wrong.json: {message}" in err
+
+
+@pytest.mark.parametrize("row, line", [
+    ("0.0,2.0,1.0,nan,0.0,0.0,0.0\n0.1,2.0,1.0,0.0,0.0,0.0,0.0\n", 2),
+    ("0.0,2.0,1.0,0.0,0.0,0.0,0.0\n0.1,2.0,1.0,0.0,0.0,nan,0.0\n", 3),
+], ids=["nan_velocity", "nan_acceleration"])
+def test_cli_nan_derivative_column_is_an_error_line(tmp_path, capsys, row,
+                                                    line):
+    # the derivative check compares by '>', false for NaN: such a file
+    # once simulated with exit 0 and "max error 0"
+    path = _write(tmp_path / "t.csv",
+                  "t,pose_1,pose_2,vel_1,vel_2,acc_1,acc_2\n" + row)
+    assert run_command(["simulate", "--config", PLANAR3, "--trajectory",
+                        path, "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"t.csv: line {line}: " in err

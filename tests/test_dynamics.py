@@ -593,3 +593,98 @@ def test_energy_conserved_rigid_plant(spring):
         ps = step_plant(model, ps, np.zeros(8), 1e-3)
     end = total_energy(model, ps.pose, ps.twist)
     assert abs(end - start) / abs(start) <= 1e-6
+
+
+def _frozen_modal_masses(model, pose):
+    """`modal_masses` through `_mass_split`, `_body_mass_matrix` and
+    `_masses_of` as they were before the body diagonal went through
+    `flat`, one finiteness test covered J^T J, the zero-tolerance shift
+    was taken in place and a fully sensed split skipped the masking: the
+    reference whose masses and errors the split must equal bit for bit."""
+    from scipy.linalg.lapack import dpotrf, dsygv
+    inert = model.inertial
+    with np.errstate(invalid="ignore"):   # inf * 0 on an infinite mass
+        if isinstance(pose, RigidPose):
+            m = np.zeros((6, 6))
+            m[:3, :3] = inert.body_mass * np.eye(3)
+            rot = pose.rotation
+            m[3:, 3:] = rot @ inert.inertia @ rot.T
+        else:
+            m = inert.body_mass * np.eye(pose.coords.size)
+    jac = jacobian(model.geometry, pose)
+    gram = jac.T @ jac
+    m0 = inert.actuator_mass
+    if m0 != 0.0:
+        m = m + m0 * gram
+    if not (np.isfinite(m).all() and np.isfinite(gram).all()):
+        raise ValidationError("mass matrix or actuator directions not finite")
+    if dpotrf(m - 1e-12 * np.eye(len(m)))[1] != 0:
+        raise SingularMass("mass matrix is not positive definite")
+    eigs, _, info = dsygv(gram, m, jobz="N")
+    assert info == 0
+    eigs = eigs[::-1]
+    sensed = eigs > 1e-12
+    return np.where(sensed, 1.0 / np.where(sensed, eigs, 1.0), np.inf)
+
+
+def _same_modal_masses(model, pose):
+    """modal_masses and the frozen route agree bit for bit, or raise the
+    same error class; the class, or None."""
+    outcomes = []
+    for split in (modal_masses, _frozen_modal_masses):
+        try:
+            outcomes.append(split(model, pose))
+        except (SingularMass, ValidationError) as exc:
+            outcomes.append(type(exc))
+    got, ref = outcomes
+    if isinstance(ref, type):
+        assert got is ref
+        return ref
+    assert got.tobytes() == ref.tobytes()
+    return None
+
+
+@pytest.mark.parametrize("name, seeds", [
+    ("cube8", [[8201, k] for k in range(6)]), ("planar3", [[8211, 0]])])
+def test_modal_masses_bit_identical_to_frozen_split(name, seeds):
+    # 3000 cold cube8 sweep poses and 500 planar3 poses
+    cfg = load_config(CONFIGS / f"{name}.json")
+    poses = [pose for seed in seeds
+             for pose in _sweep_poses(cfg, np.random.default_rng(seed), 500,
+                                      0.3)]
+    assert len(poses) == 500 * len(seeds)
+    for pose in poses:
+        assert _same_modal_masses(cfg.model, pose) is None
+
+
+def test_modal_masses_raise_where_frozen_split_does():
+    inertia = np.diag([0.02, 0.025, 0.03])
+    cube = cube8_geometry()
+    # two cables along x on the x axis: y is a direction the actuators
+    # cannot sense, an infinite modal mass
+    line = RobotGeometry.point_mass([[0.0, 0.0], [4.0, 0.0]])
+    cases = [
+        (RobotModel(line, InertialParams(body_mass=1.0, gravity=[0.0, 0.0],
+                                         actuator_mass=m0)),
+         EuclideanPose([2.0, 0.0]), None) for m0 in (0.0, 0.1)]
+    for body_mass, m0, expected in [
+            (0.0, 0.0, SingularMass), (1e-13, 0.0, SingularMass),
+            (0.9e-12, 0.0, SingularMass), (1.1e-12, 0.0, None),
+            (-1.0, 0.05, SingularMass), (np.nan, 0.05, ValidationError),
+            (np.inf, 0.0, ValidationError), (5.0, np.inf, ValidationError),
+            (5.0, np.nan, ValidationError), (5.0, 0.05, None)]:
+        cases.append((RobotModel(cube, InertialParams(
+            body_mass=body_mass, gravity=[0, 0, -9.81], inertia=inertia,
+            actuator_mass=m0)), cube8_home(), expected))
+    nan_inertia = RobotModel(cube, InertialParams(
+        body_mass=5.0, gravity=[0, 0, -9.81],
+        inertia=inertia * [1.0, np.nan, 1.0], actuator_mass=0.05))
+    cases.append((nan_inertia, cube8_home(), ValidationError))
+    for m0 in (0.0, 0.05):
+        # a NaN position leaves M finite when m0 = 0, J^T J never
+        cases.append((cube8_model(actuator_mass=m0),
+                      RigidPose([np.nan, 0.0, 1.5], [1.0, 0.0, 0.0, 0.0]),
+                      ValidationError))
+    for model, pose, expected in cases:
+        assert _same_modal_masses(model, pose) is expected
+    assert np.isinf(modal_masses(*cases[0][:2])[-1])

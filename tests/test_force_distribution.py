@@ -674,3 +674,72 @@ def test_distribute_reports_iteration_cap(monkeypatch):
     f = distribute(planar3_jacobian(), np.zeros(2), np.zeros(3),
                    np.full(3, 10.0), free)
     np.testing.assert_array_equal(f, np.zeros(3))
+
+
+def _frozen_cold_distribute(jac, wrench, command_offset, no_load, con):
+    """`distribute` with no hint as it was before its empty-box and
+    in-box checks became array methods and its loop kept Python-scalar
+    bookkeeping, over `_frozen_dual_active_set`: the reference whose
+    forces and verdicts must equal the solver's bit for bit."""
+    from paractl.force_distribution import (RESIDUAL_TOL, _force_bounds,
+                                            _pattern_forces, _spd_solve,
+                                            full_rank)
+    arrays = [np.asarray(value, float)
+              for value in (jac, wrench, command_offset, no_load)]
+    if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        raise ValidationError("non-finite entry")
+    jac, wrench, command_offset, no_load = arrays
+    gram = jac.T @ jac
+    if not full_rank(gram):
+        raise RankDeficient("jacobian has deficient column rank")
+    lo, hi = _force_bounds(con, command_offset, no_load)
+    if np.any(lo > hi + 1e-12):
+        raise InfeasibleWrench("force box is empty")
+    weights = _spd_solve(gram, wrench)
+    if weights is None:
+        raise RankDeficient("jacobian gram does not factor")
+    free_ln = jac @ weights
+    if np.all(free_ln >= lo - 1e-12) and np.all(free_ln <= hi + 1e-12):
+        return np.clip(free_ln, lo, hi)
+    status = _frozen_dual_active_set(jac, lo, hi, free_ln.copy())
+    solved = _pattern_forces(jac, wrench, lo, hi, status)
+    if solved is not None:
+        f = solved[0]
+        if np.abs(jac.T @ f - wrench).max() <= \
+                RESIDUAL_TOL * (1.0 + np.abs(f).max()):
+            return np.clip(f, lo, hi)
+    raise InfeasibleWrench("wrench outside the achievable set "
+                           "(final working set lost rank)")
+
+
+def test_cold_distribute_bit_identical_to_frozen_body():
+    # 3000 cold sweep poses from seeds the loop test does not use, plus an
+    # empty box on each of the first 20: forces and verdicts, with the
+    # certificate's message, equal those of the frozen body bit for bit,
+    # the in-box and searched paths both
+    zeros = np.zeros(8)
+    cases = []
+    for seed in ([31, 0], [32, 0], [33, 0], [34, 0], [35, 0], [36, 0]):
+        problems, con = _cube8_static_problems(seed)
+        cases += [(jac, wrench, zeros, zeros) for jac, wrench in problems]
+    empty = np.zeros(8)   # one force's box is empty
+    empty[3] = -2.0 * con.max_command.max()
+    cases += [(jac, wrench, zeros, empty) for jac, wrench, _, _ in cases[:20]]
+    verdicts = {"infeasible": 0, "in_box": 0, "searched": 0}
+    for args in cases:
+        outcomes = []
+        for solve in (distribute, _frozen_cold_distribute):
+            try:
+                outcomes.append(solve(*args, con))
+            except InfeasibleWrench as exc:
+                outcomes.append(str(exc))
+        got, ref = outcomes
+        if isinstance(ref, str):
+            assert got == ref
+            verdicts["infeasible"] += 1
+            continue
+        assert got.tobytes() == ref.tobytes()
+        lo, hi = bounds_from_constraints(con, args[2], args[3])
+        inside = ((ref > lo + 1e-9) & (ref < hi - 1e-9)).all()
+        verdicts["in_box" if inside else "searched"] += 1
+    assert len(cases) == 3020 and min(verdicts.values()) > 20, verdicts

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,30 @@ def test_control_step_brakes_on_nan_reading(planar3_model,
                           SystemControllerState.initial(gains, pose), lengths,
                           ReferenceSample(pose, np.zeros(6), np.zeros(6)),
                           "ValidationError")
+
+
+def test_control_step_brakes_on_overflowing_reading(planar3_model,
+                                                    planar3_constraints,
+                                                    planar3_gains):
+    # a 1e300 reading squares past the float range: forward kinematics
+    # refuses it before forming its cost, so under warnings as errors the
+    # tick brakes with ValidationError and no numpy warning escapes
+    cube8, pose8 = cube8_model(), cube8_home()
+    gains8 = pd_gains(9.0, 6.0, back_emf=0.0, no_load_mass=0.05)
+    for model, gains, con, pose in [
+            (planar3_model, planar3_gains, planar3_constraints,
+             planar3_pose()),
+            (cube8, gains8, ForceConstraints.uniform(8, 1.0, 400.0), pose8)]:
+        lengths = inverse_kinematics(model.geometry, pose)
+        lengths[0] = 1e300
+        d = model.manifold_dim
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_latched_brake(model, gains, con,
+                                  SystemControllerState.initial(gains, pose),
+                                  lengths, ReferenceSample(pose, np.zeros(d),
+                                                           np.zeros(d)),
+                                  "ValidationError")
 
 
 def test_control_step_brakes_on_reference_at_anchor(planar3_model,
