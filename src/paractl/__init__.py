@@ -30,8 +30,7 @@ from .simulator import (ModalMatch, PlantState, SimConfig, TraceLog,
                         settling_time, step_plant, tracking_metrics)
 from .system import (Command, ControlDiagnostics, ModalResponse,
                      ReferenceSample, SystemControllerState, control_step,
-                     finite_difference_stack, matrix_action,
-                     predicted_modal_response)
+                     finite_difference_stack, predicted_modal_response)
 from .trace_io import read_trace, trace_header, write_trace
 from .trajectory import Segment, Trajectory, load_trajectory
 

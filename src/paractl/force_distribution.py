@@ -124,11 +124,11 @@ def _try_active_set(jac: np.ndarray, wrench: np.ndarray, lo: np.ndarray,
     f, w = solved
     scale = 1.0 + np.abs(f).max()
     # the bound multipliers active * (J w - f): a negative one is wrong
-    if np.any(f < lo - 1e-11 * scale) or np.any(f > hi + 1e-11 * scale) \
+    if (f < lo - 1e-11 * scale).any() or (f > hi + 1e-11 * scale).any() \
             or np.abs(jac.T @ f - wrench).max() > RESIDUAL_TOL * scale \
-            or np.any(active * (jac @ w - f) < -1e-10 * scale):
+            or (active * (jac @ w - f) < -1e-10 * scale).any():
         return None
-    return np.clip(f, lo, hi)
+    return np.minimum(np.maximum(f, lo), hi)
 
 
 def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -216,13 +216,14 @@ def active_pattern(con: ForceConstraints, forces: np.ndarray,
                    command_offset: np.ndarray, no_load: np.ndarray,
                    tol: float = 1e-9) -> tuple[int, ...]:
     """Which bound each force sits on (-1 low, 0 free, +1 high), within
-    tol (1 + max|f|); feed back into `distribute` as a warm-start hint."""
+    tol (1 + max|f|), as a tuple of Python ints; feed back into
+    `distribute` as a warm-start hint."""
     lo, hi = _force_bounds(con, np.asarray(command_offset, float),
                            np.asarray(no_load, float))
     forces = np.asarray(forces, float)
     tol = tol * (1.0 + np.abs(forces).max())
     return tuple(np.where(forces <= lo + tol, -1,
-                          np.where(forces >= hi - tol, 1, 0)))
+                          np.where(forces >= hi - tol, 1, 0)).tolist())
 
 
 def distribute(jac: np.ndarray, wrench: np.ndarray,

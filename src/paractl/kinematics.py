@@ -407,6 +407,8 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
     and NoConvergence after `max_iters` accepted steps.  A non-finite
     reading (or guess), or one whose residual exceeds 1e150 so that its
     square would overflow, raises ValidationError before the first step.
+    The gradient tolerance, 1e-12 max(1, max|lengths|), and the damping's
+    identity are fixed once per call.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape != (geom.actuator_count,):
@@ -422,15 +424,16 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
         raise ValidationError("actuator values or guess give a non-finite "
                               "or overflowing residual")
     cost = residual @ residual
+    grad_tol = 1e-12 * max(1.0, np.abs(lengths).max())
+    eye = np.eye(geom.manifold_dim)
     for _ in range(max_iters):
-        if np.max(np.abs(residual)) <= 1e-12:
+        if np.abs(residual).max() <= 1e-12:
             return pose
         jac = jacobian(geom, pose)
         grad = jac.T @ residual
-        if np.max(np.abs(grad)) <= 1e-12 * max(1.0, np.max(np.abs(lengths))):
+        if np.abs(grad).max() <= grad_tol:
             return pose
         hess = jac.T @ jac
-        eye = np.eye(hess.shape[0])
         while True:
             step = _spd_solve(hess + damping * eye, -grad)
             if step is not None:
@@ -446,6 +449,6 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
             if damping > 1e8:
                 raise RankDeficient(
                     "normal equations unusable even under heavy damping")
-        if np.max(np.abs(step)) <= 1e-12:
+        if np.abs(step).max() <= 1e-12:
             return pose
     raise NoConvergence(f"no convergence after {max_iters} iterations")

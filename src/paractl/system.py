@@ -111,17 +111,6 @@ class ControlDiagnostics:
     tensions: np.ndarray | None = None
 
 
-def matrix_action(matrix: np.ndarray, tangents) -> list[np.ndarray]:
-    """Apply a plain matrix to a vector of tangent vectors, component-wise:
-    output_i = sum_j matrix[i, j] * tangents[j]."""
-    matrix = np.atleast_2d(np.asarray(matrix, float))
-    stack = np.asarray([np.asarray(t, float) for t in tangents])
-    if matrix.shape[1] != stack.shape[0]:
-        raise ValueError("matrix width does not match tangent count")
-    out = np.tensordot(matrix, stack, axes=1)
-    return [out[i] for i in range(out.shape[0])]
-
-
 def finite_difference_stack(history, dt: float, order: int) -> np.ndarray:
     """Backward-difference derivative stack from recent samples.
 
@@ -154,7 +143,7 @@ def _estimate_twist(jac: np.ndarray, length_history, lengths: np.ndarray,
         return np.zeros(jac.shape[1])
     rates = (lengths - length_history[-1]) / dt
     gram = jac.T @ jac
-    damped = gram + 1e-12 * np.trace(gram) * np.eye(gram.shape[0])
+    damped = gram + 1e-12 * gram.trace() * np.eye(gram.shape[0])
     twist = _spd_solve(damped, jac.T @ rates)
     if twist is None:
         raise RankDeficient("twist-estimate normal equations do not factor")
@@ -197,8 +186,8 @@ def control_step(model: RobotModel, gains: ControllerGains,
         # discretization after the output is formed
         accel_cmd = ref.accel.copy()
         if gains.state_dim:
-            accel_cmd += np.tensordot(gains.C[0], state.xi, axes=1)
-        accel_cmd += np.tensordot(gains.D[0], err_stack, axes=1)
+            accel_cmd += gains.C[0] @ state.xi
+        accel_cmd += gains.D[0] @ err_stack
         ad, bd = discretize(gains.A, gains.B, dt)
         xi_next = ad @ state.xi + np.outer(bd[:, 0], error) \
             if gains.state_dim else state.xi
@@ -243,13 +232,15 @@ def control_step(model: RobotModel, gains: ControllerGains,
         braked = replace(state, braked=True,
                          brake_reason=f"{type(exc).__name__}: {exc}")
         return Command.brake(braked.brake_reason), braked, diag
-    new_state = replace(
-        state, xi=xi_next, error_history=tuple(err_history),
+    new_state = SystemControllerState(
+        xi=xi_next, error_history=tuple(err_history),
         length_history=(state.length_history + (lengths,))[-state.window:],
-        prev_pose=pose,
+        prev_pose=pose, window=state.window,
         solver_hint=active_pattern(con, forces, command_offset, no_load))
-    diag = replace(diag, forces=forces, command_offset=command_offset,
-                   tensions=no_load - forces)
+    diag = ControlDiagnostics(pose=pose, pose_error=error,
+                              accel_cmd=accel_cmd, wrench_cmd=wrench_cmd,
+                              forces=forces, command_offset=command_offset,
+                              no_load=no_load, tensions=no_load - forces)
     return Command.apply(forces + command_offset), new_state, diag
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,12 @@ from conftest import (cube8_geometry, cube8_home, planar3_pose,
 from paractl import (DegenerateGeometry, EuclideanPose, NoConvergence,
                      RankDeficient, RigidPose, RobotGeometry, ValidationError,
                      actuator_rates, forward_kinematics, inverse_kinematics,
-                     jacobian, jacobian_directional_derivative, manifold_dim,
-                     pose_difference, retract)
+                     jacobian, jacobian_directional_derivative, load_config,
+                     manifold_dim, pose_difference, retract)
 from paractl import kinematics
 from paractl.kinematics import quat_normalize
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SQ5 = np.sqrt(5.0)
 
 
@@ -422,3 +425,158 @@ def test_read_pose_normalizes_quaternion_once():
     flat = kinematics.read_pose(["2", "1"], False, 2)
     assert isinstance(flat, EuclideanPose)
     assert flat.coords.tolist() == [2.0, 1.0]
+
+
+def _frozen_forward_kinematics(geom, lengths, guess, max_iters=50):
+    """`forward_kinematics` as it was while it rebuilt the gradient
+    tolerance and the damping's identity on every iteration and took its
+    maxima with np.max: the reference whose poses and errors FK must
+    equal bit for bit."""
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.shape != (geom.actuator_count,):
+        raise ValidationError(
+            f"expected {geom.actuator_count} actuator values, got shape "
+            f"{lengths.shape}")
+    pose = guess
+    damping = 1e-10
+    residual = kinematics.inverse_kinematics(geom, pose) - lengths
+    if not np.abs(residual).max() < 1e150:
+        raise ValidationError("actuator values or guess give a non-finite "
+                              "or overflowing residual")
+    cost = residual @ residual
+    for _ in range(max_iters):
+        if np.max(np.abs(residual)) <= 1e-12:
+            return pose
+        jac = kinematics.jacobian(geom, pose)
+        grad = jac.T @ residual
+        if np.max(np.abs(grad)) <= 1e-12 * max(1.0, np.max(np.abs(lengths))):
+            return pose
+        hess = jac.T @ jac
+        eye = np.eye(hess.shape[0])
+        while True:
+            step = kinematics._spd_solve(hess + damping * eye, -grad)
+            if step is not None:
+                candidate = retract(pose, step)
+                cand_res = kinematics.inverse_kinematics(geom, candidate) \
+                    - lengths
+                cand_cost = cand_res @ cand_res
+                if cand_cost <= cost * (1.0 + 1e-14) + 1e-300:
+                    pose, residual, cost = candidate, cand_res, cand_cost
+                    damping = max(damping / 10.0, 1e-12)
+                    break
+            damping *= 10.0
+            if damping > 1e8:
+                raise RankDeficient(
+                    "normal equations unusable even under heavy damping")
+        if np.max(np.abs(step)) <= 1e-12:
+            return pose
+    raise NoConvergence(f"no convergence after {max_iters} iterations")
+
+
+def _fk_cases(cfg, rng, count):
+    """(reading, guess, max_iters) at poses uniform in the workspace box
+    (cube8 tilted up to 0.3 rad per axis): mostly noisy readings (sigma
+    1e-4 to 1e-2) with guesses up to 0.05 away (every tenth at the true
+    pose); also readings 0.1-1 off the realizable set, which make steps
+    fail and the damping grow, readings capped at 1-3 iterations, and
+    non-finite, overflowing or short readings."""
+    geom = cfg.model.geometry
+    d = geom.manifold_dim
+    cases = []
+    for k in range(count):
+        position = rng.uniform(cfg.workspace_min, cfg.workspace_max)
+        if geom.is_rigid:
+            true = RigidPose(position, kinematics.quat_from_rotation_vector(
+                rng.uniform(-0.3, 0.3, 3)))
+        else:
+            true = EuclideanPose(position)
+        reading = inverse_kinematics(geom, true)
+        radius = 0.0 if k % 10 == 0 else rng.uniform(0.0, 0.05)
+        guess = retract(true, rng.uniform(-radius, radius, d))
+        kind, max_iters = k % 20, 50
+        if kind < 14:
+            reading = reading + 10.0 ** rng.uniform(-4, -2) \
+                * rng.standard_normal(reading.size)
+        elif kind < 17:
+            reading = reading + rng.uniform(0.1, 1.0) \
+                * rng.standard_normal(reading.size)
+        elif kind < 19:
+            reading = reading + 1e-2 * rng.standard_normal(reading.size)
+            max_iters = int(rng.integers(1, 4))
+        else:
+            reading[rng.integers(reading.size)] = rng.choice(
+                [np.nan, np.inf, -np.inf, 1e300])
+            if rng.uniform() < 0.25:
+                reading = reading[:-1]
+        cases.append((reading, guess, max_iters))
+    return cases
+
+
+def _fk_outcome(fk, geom, reading, guess, max_iters):
+    try:
+        pose = fk(geom, reading, guess, max_iters)
+    except (RankDeficient, NoConvergence, ValidationError) as exc:
+        return type(exc), str(exc)
+    if isinstance(pose, RigidPose):
+        return pose.position.tobytes() + pose.quaternion.tobytes()
+    return pose.coords.tobytes()
+
+
+@pytest.mark.parametrize("name", ["planar3", "cube8"])
+def test_fk_bit_identical_to_frozen_reference(name, monkeypatch):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    geom = cfg.model.geometry
+    solve, jacobian_of = kinematics._spd_solve, kinematics.jacobian
+    solves, jacobians = [], []
+    monkeypatch.setattr(kinematics, "_spd_solve",
+                        lambda a, b: solves.append(1) or solve(a, b))
+    monkeypatch.setattr(kinematics, "jacobian",
+                        lambda g, p: jacobians.append(1) or jacobian_of(g, p))
+    seen, damped = {}, 0
+    for reading, guess, max_iters in _fk_cases(
+            cfg, np.random.default_rng([9301, len(name)]), 2000):
+        ref = _fk_outcome(_frozen_forward_kinematics, geom, reading, guess,
+                          max_iters)
+        solves.clear()
+        jacobians.clear()
+        got = _fk_outcome(forward_kinematics, geom, reading, guess,
+                          max_iters)
+        assert got == ref
+        damped += len(solves) > len(jacobians)   # some step was rejected
+        key = ref[0] if isinstance(ref, tuple) else "pose"
+        seen[key] = seen.get(key, 0) + 1
+    # the batch reaches every outcome, and the damping grows in some runs
+    assert seen["pose"] >= 1300 and damped >= 300
+    assert seen[NoConvergence] >= 200 and seen[ValidationError] == 100
+
+
+@pytest.mark.parametrize("failures", [1, 2, 5, 20, None])
+def test_fk_failed_factorizations_match_frozen_reference(planar3_geom,
+                                                         monkeypatch,
+                                                         failures):
+    # factorizations that fail, for a while or for good, damp harder in
+    # the same steps and end in the same pose or the same RankDeficient
+    solve = kinematics._spd_solve
+    rng = np.random.default_rng(9311)
+    for geom, poses in ((planar3_geom, random_planar_poses(rng, 20)),
+                        (cube8_geometry(), random_rigid_poses(rng, 20))):
+        for pose in poses:
+            reading = inverse_kinematics(geom, pose) \
+                + 1e-3 * rng.standard_normal(geom.actuator_count)
+            guess = retract(pose, rng.uniform(-0.05, 0.05,
+                                              geom.manifold_dim))
+            outcomes = []
+            for fk in (_frozen_forward_kinematics, forward_kinematics):
+                calls = []
+
+                def failing(a, b):
+                    calls.append(a)
+                    if failures is None or len(calls) <= failures:
+                        return None
+                    return solve(a, b)
+
+                monkeypatch.setattr(kinematics, "_spd_solve", failing)
+                outcomes.append(_fk_outcome(fk, geom, reading, guess, 50))
+            assert outcomes[0] == outcomes[1]
+            if failures is None or failures == 20:
+                assert outcomes[0][0] is RankDeficient

@@ -1,42 +1,30 @@
+import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import cube8_geometry, cube8_home, cube8_model, planar3_pose
-from paractl import (Command, EuclideanPose, ReferenceSample, RobotGeometry,
-                     RobotModel, InertialParams, SingularMass,
-                     SystemControllerState, modal_decomposition,
-                     bias_force, control_step, finite_difference_stack,
-                     inverse_kinematics, jacobian, mass_matrix,
-                     matrix_action, no_load_forces, pd_gains,
+from paractl import (Command, ControllerGains, EuclideanPose, ParactlError,
+                     RankDeficient, ReferenceSample, RobotGeometry,
+                     RobotModel, InertialParams, Segment, SimConfig,
+                     SingularMass, SystemControllerState, Trajectory,
+                     modal_decomposition, bias_force, control_step,
+                     finite_difference_stack, inverse_kinematics, jacobian,
+                     load_config, mass_matrix, no_load_forces, pd_gains,
                      predicted_modal_response, feedforward_step,
-                     ForceConstraints, force_distribution, retract, system)
+                     ForceConstraints, force_distribution, kinematics,
+                     retract, run_closed_loop, simulator, system)
 from paractl.actuator import ActuatorModel
+from test_kinematics import _frozen_forward_kinematics
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def hold_reference(pose):
     d = pose.coords.size
     return ReferenceSample(pose, np.zeros(d), np.zeros(d))
-
-
-def test_matrix_action_identity_and_zero():
-    tangents = [np.array([1.0, 2.0]), np.array([-0.5, 0.3])]
-    out = matrix_action(np.eye(2), tangents)
-    np.testing.assert_array_equal(out[0], tangents[0])
-    np.testing.assert_array_equal(out[1], tangents[1])
-    out = matrix_action(np.zeros((2, 2)), tangents)
-    assert all(np.all(v == 0.0) for v in out)
-
-
-def test_matrix_action_linear_combination():
-    ta = np.array([1.0, 0.0])
-    tb = np.array([0.0, 1.0])
-    out = matrix_action(np.array([[1.0, 2.0], [3.0, 4.0]]), [ta, tb])
-    np.testing.assert_allclose(out[0], ta + 2 * tb)
-    np.testing.assert_allclose(out[1], 3 * ta + 4 * tb)
-    with pytest.raises(ValueError):
-        matrix_action(np.eye(3), [ta, tb])
 
 
 def test_finite_difference_stack_cold_start():
@@ -447,3 +435,195 @@ def test_command_variants():
     forces = Command.apply([1.0, 2.0])
     assert not forces.is_brake
     np.testing.assert_array_equal(forces.forces, [1.0, 2.0])
+
+
+def _frozen_estimate_twist(jac, length_history, lengths, dt):
+    if not length_history:
+        return np.zeros(jac.shape[1])
+    rates = (lengths - length_history[-1]) / dt
+    gram = jac.T @ jac
+    damped = gram + 1e-12 * np.trace(gram) * np.eye(gram.shape[0])
+    twist = kinematics._spd_solve(damped, jac.T @ rates)
+    if twist is None:
+        raise RankDeficient("twist-estimate normal equations do not factor")
+    return twist
+
+
+def _frozen_try_active_set(jac, wrench, lo, hi, active):
+    if np.count_nonzero(active == 0) < jac.shape[1] or \
+            not np.isfinite(np.where(active == 1, hi, lo)[active != 0]).all():
+        return None
+    solved = force_distribution._pattern_forces(jac, wrench, lo, hi, active)
+    if solved is None:
+        return None
+    f, w = solved
+    scale = 1.0 + np.abs(f).max()
+    if np.any(f < lo - 1e-11 * scale) or np.any(f > hi + 1e-11 * scale) \
+            or np.abs(jac.T @ f - wrench).max() \
+            > force_distribution.RESIDUAL_TOL * scale \
+            or np.any(active * (jac @ w - f) < -1e-10 * scale):
+        return None
+    return np.clip(f, lo, hi)
+
+
+def _frozen_active_pattern(con, forces, command_offset, no_load, tol=1e-9):
+    lo, hi = force_distribution._force_bounds(
+        con, np.asarray(command_offset, float), np.asarray(no_load, float))
+    forces = np.asarray(forces, float)
+    tol = tol * (1.0 + np.abs(forces).max())
+    return tuple(np.where(forces <= lo + tol, -1,
+                          np.where(forces >= hi - tol, 1, 0)))
+
+
+def _frozen_control_step(model, gains, con, state, lengths, ref, dt,
+                         evaluate_at_reference=False):
+    """`control_step` as it was while it applied the gains by
+    np.tensordot and built its results by dataclasses.replace, on the
+    frozen forward kinematics, warm-start check (patched in by the
+    caller), bound pattern and twist estimate: the reference whose tick
+    outputs the controller must equal bit for bit."""
+    if state.braked:
+        return (Command.brake(state.brake_reason or "brake latched"),
+                state, system.ControlDiagnostics())
+    lengths = np.asarray(lengths, float)
+    geom = model.geometry
+    diag = system.ControlDiagnostics()
+    try:
+        pose = _frozen_forward_kinematics(geom, lengths, state.prev_pose)
+        if evaluate_at_reference:
+            error = -system.pose_difference(ref.pose, pose)
+        else:
+            error = system.pose_difference(pose, ref.pose)
+        err_history = (state.error_history + (error,))[-state.window:]
+        err_stack = finite_difference_stack(err_history, dt,
+                                            gains.derivative_order)
+        accel_cmd = ref.accel.copy()
+        if gains.state_dim:
+            accel_cmd += np.tensordot(gains.C[0], state.xi, axes=1)
+        accel_cmd += np.tensordot(gains.D[0], err_stack, axes=1)
+        ad, bd = system.discretize(gains.A, gains.B, dt)
+        xi_next = ad @ state.xi + np.outer(bd[:, 0], error) \
+            if gains.state_dim else state.xi
+        eval_pose = ref.pose if evaluate_at_reference else pose
+        if isinstance(eval_pose, EuclideanPose):
+            twist = ref.velocity if evaluate_at_reference else \
+                _frozen_estimate_twist(jacobian(geom, pose),
+                                       state.length_history, lengths, dt)
+            jac, mass, bias = system.point_mass_tables(model, eval_pose.coords,
+                                                       twist)
+            if not twist.any():
+                bias = None
+            no_load = no_load_forces(model, eval_pose, twist, accel_cmd,
+                                     jac=jac)
+        else:
+            twist = ref.velocity if evaluate_at_reference else (
+                lambda rows: _frozen_estimate_twist(
+                    rows, state.length_history, lengths, dt))
+            jac, mass, gyro, curve = system.rigid_pose_tables(model, eval_pose,
+                                                              twist)
+            bias = system._rigid_bias(model, jac, gyro, curve)
+            no_load = np.zeros(jac.shape[0]) if curve is None else \
+                model.inertial.actuator_mass * (jac @ accel_cmd + curve)
+        wrench_cmd = mass @ accel_cmd + system._potential_gradient(model,
+                                                                   eval_pose)
+        if bias is not None:
+            wrench_cmd += bias
+        command_offset = np.zeros(jac.shape[0])
+        if gains.back_emf:
+            ref_jac = jac if evaluate_at_reference else jacobian(geom,
+                                                                 ref.pose)
+            command_offset = gains.back_emf * (ref_jac @ ref.velocity)
+        diag = system.ControlDiagnostics(
+            pose=pose, pose_error=error, accel_cmd=accel_cmd,
+            wrench_cmd=wrench_cmd, no_load=no_load)
+        forces = force_distribution.distribute(
+            jac, wrench_cmd, command_offset, no_load, con,
+            pattern_hint=state.solver_hint)
+    except ParactlError as exc:
+        braked = dataclasses.replace(
+            state, braked=True, brake_reason=f"{type(exc).__name__}: {exc}")
+        return Command.brake(braked.brake_reason), braked, diag
+    new_state = dataclasses.replace(
+        state, xi=xi_next, error_history=tuple(err_history),
+        length_history=(state.length_history + (lengths,))[-state.window:],
+        prev_pose=pose,
+        solver_hint=_frozen_active_pattern(con, forces, command_offset,
+                                           no_load))
+    diag = dataclasses.replace(diag, forces=forces,
+                               command_offset=command_offset,
+                               tensions=no_load - forces)
+    return Command.apply(forces + command_offset), new_state, diag
+
+
+def _bits(value):
+    """A value's exact content: arrays as dtype, shape and bytes, frozen
+    dataclasses and tuples field by field, anything else (the hint's
+    ints, strings, flags) by value."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            _bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _recorded_ticks(cfg, gains, monkeypatch, move, noise, count,
+                    at_reference):
+    """The control-tick inputs of the first `count` ticks of a noisy
+    closed loop from rest (the first a cold start): a 0.36 s quintic move
+    by `move` from the home pose, then a 0.24 s hold."""
+    ticks = []
+
+    def recording(*args, **kwargs):
+        ticks.append((args, kwargs))
+        return control_step(*args, **kwargs)
+
+    home = cfg.home_pose
+    traj = Trajectory(home, [Segment("quintic", 0.36, retract(home, move)),
+                             Segment("hold", 0.24)])
+    sim = SimConfig(dt_control=cfg.sim.dt_control,
+                    dt_physics=cfg.sim.dt_physics,
+                    duration=count * cfg.sim.dt_control, noise_sigma=noise,
+                    seed=9401)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "control_step", recording)
+        trace = run_closed_loop(cfg.model, gains, cfg.constraints, traj, sim,
+                                evaluate_at_reference=at_reference)
+    assert len(ticks) == count and not np.asarray(trace.brake).any()
+    return ticks
+
+
+@pytest.mark.parametrize("name, move, noise", [
+    ("planar3", [0.1, 0.05], 1e-4),
+    ("cube8", [0.02, -0.01, 0.015, 0.02, -0.01, 0.03], 1e-5)])
+def test_control_step_bit_identical_to_frozen_reference(name, move, noise,
+                                                        monkeypatch):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    # the shipped gains at the measured pose, and a state-space law with
+    # an integral state at the reference
+    kp, kd = cfg.gains.D[0]
+    integral = ControllerGains(A=np.zeros((1, 1)), B=np.ones((1, 1)),
+                               C=np.array([[0.5 * kp]]), D=cfg.gains.D,
+                               no_load_mass=cfg.gains.no_load_mass)
+    ticks = (_recorded_ticks(cfg, cfg.gains, monkeypatch, move, noise, 600,
+                             False)
+             + _recorded_ticks(cfg, integral, monkeypatch, move, noise, 150,
+                               True))
+    # a reading that brakes the last state, and the latched brake after it
+    args, kwargs = ticks[-1]
+    reading = np.array(args[4])
+    reading[0] = np.nan
+    ticks.append(((*args[:4], reading, *args[5:]), kwargs))
+    braked = control_step(*ticks[-1][0], **kwargs)[1]
+    assert braked.braked
+    ticks.append(((*args[:3], braked, *args[4:]), kwargs))
+    assert len(ticks) >= 750
+    for args, kwargs in ticks:
+        with monkeypatch.context() as patch:
+            patch.setattr(force_distribution, "_try_active_set",
+                          _frozen_try_active_set)
+            ref = _frozen_control_step(*args, **kwargs)
+        got = control_step(*args, **kwargs)
+        assert _bits(got) == _bits(ref)
