@@ -11,18 +11,16 @@ from .actuator import (ActuatorModel, ActuatorTrace, ControllerGains,
                        stability_check)
 from .config import RobotConfig, load_config, parse_config, save_config
 from .dynamics import (InertialParams, ModalDecomposition, RobotModel,
-                       bias_force, cable_tensions, forward_dynamics,
-                       kinetic_energy, mass_matrix, modal_decomposition,
-                       modal_masses, no_load_forces, potential_energy,
-                       total_energy)
+                       bias_force, forward_dynamics, kinetic_energy,
+                       mass_matrix, modal_decomposition, modal_masses,
+                       no_load_forces, potential_energy, total_energy)
 from .errors import (DegenerateGeometry, InfeasibleWrench, NoConvergence,
                      NumericBlowup, ParactlError, ParseError, RankDeficient,
                      SingularMass, ValidationError)
 from .force_distribution import (ForceConstraints, distribute,
                                  in_constraint_set, wrench_feasible)
 from .kinematics import (EuclideanPose, Pose, RigidPose, RobotGeometry,
-                         actuator_rates, forward_kinematics,
-                         inverse_kinematics, jacobian,
+                         forward_kinematics, inverse_kinematics, jacobian,
                          jacobian_directional_derivative, manifold_dim,
                          pose_difference, pose_to_chart, retract)
 from .simulator import (ModalMatch, PlantState, SimConfig, TraceLog,

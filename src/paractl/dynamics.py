@@ -15,15 +15,15 @@ m0 J^T c, pinned against the Lagrangian of the chart mass
 `_chart_mass_rigid` by the rigid-table tests in tests/test_dynamics.py and
 exercised through the plant by `test_energy_conserved_rigid_plant`.
 
-`rigid_pose_tables` evaluates the cables once and returns the jacobian
-rows, the mass, the gyroscopic torque and c, rather than the summed bias:
-the plant folds c into the supplied forces as J^T (supplied - m0 c), and
-the controller forms the no-load forces m0 (J accel + c) from the same c.
-It takes the twist as a function of the rows where the twist is estimated
-through them, so a control tick evaluates the cables once.  Flat poses
-take the velocity bias from central differences of the mass in the local
-chart (`point_mass_tables`), because tests/data/golden_planar3.csv pins
-the planar closed loop byte for byte.
+`rigid_pose_tables` reads the pose's one cable evaluation (its memo, see
+`kinematics`) and returns the jacobian rows, the mass, the gyroscopic
+torque and c, rather than the summed bias: the plant folds c into the
+supplied forces as J^T (supplied - m0 c), and the controller forms the
+no-load forces m0 (J accel + c) from the same c.  It takes the twist as
+a function of the rows where the twist is estimated through them.  Flat
+poses take the velocity bias from central differences of the mass in
+the local chart (`point_mass_tables`), because
+tests/data/golden_planar3.csv pins the planar closed loop byte for byte.
 """
 from __future__ import annotations
 
@@ -37,9 +37,8 @@ from .actuator import ActuatorModel
 from .errors import (DegenerateGeometry, NoConvergence, SingularMass,
                      ValidationError)
 from .kinematics import (FD_STEP, EuclideanPose, Pose, RigidPose,
-                         RobotGeometry, _hat, _rigid_cable_vectors,
-                         _rigid_curvature, _rigid_rows, _spd_solve,
-                         gram_matrix, jacobian,
+                         RobotGeometry, _directions, _hat,
+                         _rigid_curvature, _spd_solve, gram_matrix, jacobian,
                          jacobian_directional_derivative, retract,
                          so3_left_jacobian)
 
@@ -100,12 +99,12 @@ def _position_of(pose: Pose) -> np.ndarray:
     return pose.position if isinstance(pose, RigidPose) else pose.coords
 
 
-def _body_mass_matrix(model: RobotModel, pose: Pose) -> np.ndarray:
+def _body_mass_matrix(model: RobotModel, pose: Pose, rot=None) -> np.ndarray:
     inert = model.inertial
     if isinstance(pose, RigidPose):
         m = np.zeros((6, 6))
         m.flat[:15:7] = inert.body_mass
-        rot = pose.rotation
+        rot = pose.rotation if rot is None else rot   # the caller's, if any
         m[3:, 3:] = rot @ inert.inertia @ rot.T
         return m
     d = pose.coords.size
@@ -172,7 +171,8 @@ def _chart_mass_rigid(model: RobotModel, pose: Pose,
 
 def rigid_pose_tables(model: RobotModel, pose: RigidPose, twist):
     """Jacobian rows, mass matrix, gyroscopic torque and cable curvature at
-    a rigid pose, in closed form from one cable evaluation.
+    a rigid pose, in closed form from the pose's one cable evaluation; the
+    rows are that evaluation's own, read-only.
 
     The velocity bias is the Newton-Euler gyroscopic torque plus the
     reflected actuator inertia's share (`_rigid_bias` sums it),
@@ -191,9 +191,8 @@ def rigid_pose_tables(model: RobotModel, pose: RigidPose, twist):
     rows at the same pose, and this keeps its tick to one cable evaluation.
     """
     inert = model.inertial
-    rot, diffs, lengths, offsets = _rigid_cable_vectors(model.geometry, pose)
-    units = diffs / lengths[:, None]
-    rows = _rigid_rows(units, offsets)
+    _, rot, _, lengths, offsets, units, rows = _directions(model.geometry,
+                                                           pose)
     if callable(twist):
         twist = twist(rows)
     world_inertia = rot @ inert.inertia @ rot.T
@@ -318,15 +317,6 @@ def no_load_forces(model: RobotModel, pose: Pose, twist: np.ndarray,
     return m0 * (jac @ np.asarray(accel, float) + curve)
 
 
-def cable_tensions(no_load: np.ndarray, applied: np.ndarray) -> np.ndarray:
-    """Tensions are the no-load forces minus the applied actuator forces."""
-    no_load = np.asarray(no_load, float)
-    applied = np.asarray(applied, float)
-    if no_load.shape != applied.shape:
-        raise ValueError("force vectors differ in length")
-    return no_load - applied
-
-
 def forward_dynamics(model: RobotModel, pose: Pose, twist: np.ndarray,
                      wrench: np.ndarray) -> np.ndarray:
     """Acceleration produced by a wrench: M^{-1} (wrench - bias)."""
@@ -364,7 +354,8 @@ _ZERO_TOL = 1e-12
 
 
 def _mass_split(model: RobotModel, pose: Pose):
-    """J^T J and M (as `mass_matrix` forms it) from one jacobian evaluation.
+    """J^T J and M (as `mass_matrix` forms it) from the pose's one cable
+    evaluation, its rotation included.
 
     SingularMass unless every eigenvalue of M exceeds `_ZERO_TOL`, that is
     unless M - _ZERO_TOL I has a Cholesky factor (LAPACK dpotrf);
@@ -372,9 +363,9 @@ def _mass_split(model: RobotModel, pose: Pose):
     or inertial constant).  With m0 != 0 one finiteness test of M covers
     J^T J too, since a non-finite entry of J^T J leaves one in M.
     """
-    jac = jacobian(model.geometry, pose)
-    gram = jac.T @ jac
-    m = _body_mass_matrix(model, pose)
+    _, rot, _, _, _, _, rows = _directions(model.geometry, pose)
+    gram = rows.T @ rows
+    m = _body_mass_matrix(model, pose, rot)
     m0 = model.inertial.actuator_mass
     if m0 != 0.0:
         m += m0 * gram

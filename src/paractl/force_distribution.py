@@ -18,6 +18,7 @@ method itself and reported, never clamped away.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,67 +150,71 @@ def _dual_active_set(jac: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     lose rank and their gram no longer factors: that add stood in for the
     certificate, so it raises InfeasibleWrench too.
 
-    The arithmetic that writes f, the multipliers, y and r is numpy's, on
-    the same operands as ever, so the iterates are pinned bit for bit.
-    The bookkeeping is in Python scalars: the free and bound indices as
-    sorted lists (fancy-indexing in `nonzero()` order), the search for
-    the most violated bound over `f.tolist()` and the ratio test over
-    floats (the first extremum wins, as for argmax), and no multiplier
-    step while the working set is empty.
+    Bit for bit as numpy's, the matmuls run on the same operands, and f
+    and the multipliers take the same IEEE updates as Python floats, so
+    only the free and bound rows are fancy-indexed.  Indices are sorted
+    lists (`nonzero()` order); searches keep the first extremum, as
+    argmax does; r flips signs of J_bound y, which is exact.  `f` holds
+    the last iterate when the loop returns or raises.
     """
     n, d = jac.shape
-    status = np.zeros(n, dtype=int)
-    mult = np.zeros(n)
+    status, mult = [0] * n, [0.0] * n
     free, bound, changes = list(range(n)), [], 0
-    lo_at, hi_at = lo.tolist(), hi.tolist()
-    while True:
-        at, worst, p = f.tolist(), 1e-12, -1
-        for i in free:   # the most violated bound, the first of a tie
-            gap = max(lo_at[i] - at[i], at[i] - hi_at[i])
-            if gap > worst:
-                worst, p = gap, i
-        if p < 0:
-            return status
-        side = 1 if at[p] > hi_at[p] else -1
-        target = hi_at[p] if side == 1 else lo_at[p]
+    lo_at, hi_at, at = lo.tolist(), hi.tolist(), f.tolist()
+    try:
         while True:
-            rows = jac[free]
-            y = _spd_solve(rows.T @ rows, jac[p])
-            if y is None:
-                raise InfeasibleWrench("wrench outside the achievable set "
-                                       "(working set lost rank)")
-            t_drop, drop = np.inf, -1
-            if bound:
-                r = -side * status[bound] * (jac[bound] @ y)
-                for i, held, rate in zip(bound, mult[bound].tolist(),
-                                         r.tolist()):
-                    if rate > 0 and held / rate < t_drop:
-                        t_drop, drop = held / rate, i
-            reach = 1.0 - jac[p] @ y  # |z|^2 in [0, 1], zero when dependent
-            t_add = side * (f[p] - target) / reach \
-                if len(free) > d and reach > 1e-12 else np.inf
-            if t_add == t_drop == np.inf:
-                raise InfeasibleWrench("wrench outside the achievable set")
-            if changes == MAX_ACTIVE_SET_ITERS:
-                raise NoConvergence(f"force solver made {changes} "
-                                    "active-set changes without converging")
-            changes += 1
-            step = min(t_add, t_drop)
-            if t_add < np.inf:
-                move = rows @ y
-                move[free.index(p)] -= 1.0
-                f[free] += step * side * move
-            if bound:
-                mult[bound] -= step * r
-            mult[p] += step
-            if t_add <= t_drop:
-                status[p], f[p] = side, target
-                free.remove(p)
-                bisect.insort(bound, p)
-                break
-            status[drop], mult[drop] = 0, 0.0
-            bound.remove(drop)
-            bisect.insort(free, drop)
+            worst, p = 1e-12, -1
+            for i in free:   # the most violated bound, the first of a tie
+                gap = max(lo_at[i] - at[i], at[i] - hi_at[i])
+                if gap > worst:
+                    worst, p = gap, i
+            if p < 0:
+                return np.array(status)
+            side = 1 if at[p] > hi_at[p] else -1
+            target = hi_at[p] if side == 1 else lo_at[p]
+            normal = jac[p]
+            while True:
+                rows = jac[free]
+                y = _spd_solve(rows.T @ rows, normal)
+                if y is None:
+                    raise InfeasibleWrench("wrench outside the achievable "
+                                           "set (working set lost rank)")
+                t_drop, drop, rates = math.inf, -1, []
+                if bound:
+                    for i, v in zip(bound, (jac[bound] @ y).tolist()):
+                        rate = v if side * status[i] < 0 else -v
+                        rates.append(rate)
+                        if rate > 0 and mult[i] / rate < t_drop:
+                            t_drop, drop = mult[i] / rate, i
+                # |z|^2 in [0, 1], zero when dependent
+                reach = 1.0 - float(normal @ y)
+                t_add = side * (at[p] - target) / reach \
+                    if len(free) > d and reach > 1e-12 else math.inf
+                if t_add == t_drop == math.inf:
+                    raise InfeasibleWrench("wrench outside the achievable set")
+                if changes == MAX_ACTIVE_SET_ITERS:
+                    raise NoConvergence(f"force solver made {changes} active"
+                                        "-set changes without converging")
+                changes += 1
+                step = min(t_add, t_drop)
+                if t_add < math.inf:
+                    move = (rows @ y).tolist()
+                    move[free.index(p)] -= 1.0
+                    for i, m in zip(free, move):
+                        at[i] += step * side * m
+                for i, rate in zip(bound, rates):
+                    mult[i] -= step * rate
+                mult[p] += step
+                if t_add <= t_drop:
+                    status[p], at[p] = side, target
+                    free.remove(p)
+                    bisect.insort(bound, p)
+                    break
+                status[drop], mult[drop] = 0, 0.0
+                bound.remove(drop)
+                bisect.insort(free, drop)
+    finally:
+        f[:] = at
 
 
 def active_pattern(con: ForceConstraints, forces: np.ndarray,

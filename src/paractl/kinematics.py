@@ -5,6 +5,12 @@ end effector, d in {1, 2, 3}) and rigid-body pose space (position plus unit
 quaternion, 6 velocity coordinates).  Twists stack linear velocity with
 world-frame angular velocity; wrenches pair with twists by the plain dot
 product.
+
+Poses are values: their arrays are read-only copies, so a pose can keep
+the memo of its cable evaluation (`_cables`) in its instance `__dict__`,
+as `functools.cached_property` does on a frozen dataclass.  Everything
+that evaluates cables reads through it, and public functions hand out
+copies.
 """
 from __future__ import annotations
 
@@ -120,29 +126,42 @@ def so3_left_jacobian(rv: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # poses
 
-@dataclass(frozen=True)
+def _read_only(values) -> np.ndarray:
+    """A flat float copy of `values` over immutable bytes, so that it can
+    never be made writeable again."""
+    return np.frombuffer(np.asarray(values, dtype=float).tobytes())
+
+
+@dataclass(frozen=True, init=False)
 class EuclideanPose:
-    """Point-mass configuration: d coordinates, d in {1, 2, 3}."""
+    """Point-mass configuration: d coordinates, d in {1, 2, 3}; a value
+    that carries its cable memo (see the module docstring)."""
 
     coords: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           np.atleast_1d(np.asarray(self.coords, dtype=float)))
+    def __init__(self, coords):
+        state = self.__dict__
+        state["coords"], state["_cables"] = _read_only(coords), None
+
+    def __reduce__(self):   # a copy is built anew: read-only, memo-free
+        return EuclideanPose, (self.coords,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RigidPose:
-    """Rigid-body configuration: position and unit quaternion (w, x, y, z)."""
+    """Rigid-body configuration: position and unit quaternion (w, x, y, z);
+    a value that carries its cable memo (see the module docstring)."""
 
     position: np.ndarray
     quaternion: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "position",
-                           np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "quaternion",
-                           np.asarray(self.quaternion, dtype=float))
+    def __init__(self, position, quaternion):
+        state = self.__dict__
+        state["position"], state["quaternion"], state["_cables"] = (
+            _read_only(position), _read_only(quaternion), None)
+
+    def __reduce__(self):   # a copy is built anew: read-only, memo-free
+        return RigidPose, (self.position, self.quaternion)
 
     @classmethod
     def identity(cls, position=(0.0, 0.0, 0.0)) -> "RigidPose":
@@ -239,13 +258,13 @@ class RobotGeometry:
     anchors: np.ndarray
     attachments: np.ndarray | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "anchors",
-                           np.atleast_2d(np.asarray(self.anchors, dtype=float)))
-        if self.attachments is not None:
-            object.__setattr__(
-                self, "attachments",
-                np.atleast_2d(np.asarray(self.attachments, dtype=float)))
+    def __post_init__(self):   # read-only copies: a pose's memo keys on it
+        for name in ("anchors", "attachments"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value, dtype=float, ndmin=2)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
 
     @classmethod
     def point_mass(cls, anchors) -> "RobotGeometry":
@@ -283,51 +302,64 @@ def _checked_lengths(diffs: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _rigid_cable_vectors(geom: RobotGeometry, pose: Pose):
-    """Body rotation, anchor-to-attachment vectors, lengths, and world
-    attachment offsets at a rigid pose."""
-    if not isinstance(pose, RigidPose):
-        raise ValueError("rigid geometry requires a RigidPose")
-    rot = pose.rotation
-    offsets = geom.attachments @ rot.T          # (n, 3) world frame
-    diffs = pose.position + offsets - geom.anchors
-    return rot, diffs, _checked_lengths(diffs), offsets
-
-
-def _cable_vectors(geom: RobotGeometry, pose: Pose):
-    """Anchor-to-attachment vectors, lengths, and world attachment offsets."""
+def _cables(geom: RobotGeometry, pose: Pose) -> list:
+    """The pose's memo of its cables under `geom`, evaluated on first use:
+    [geom, body rotation, anchor-to-attachment vectors, lengths, world
+    attachment offsets, unit directions, jacobian rows], rotation and
+    offsets None on a point mass, the last two None until `_directions`
+    fills them and drops the vectors.  One memo per pose, for the last
+    geometry; its arrays are never handed out."""
+    memo = getattr(pose, "_cables", None)
+    if memo is not None and memo[0] is geom:
+        return memo
     if geom.is_rigid:
-        _, diffs, lengths, offsets = _rigid_cable_vectors(geom, pose)
-        return diffs, lengths, offsets
-    if not isinstance(pose, EuclideanPose):
-        raise ValueError("point-mass geometry requires a EuclideanPose")
-    diffs = pose.coords - geom.anchors
-    return diffs, _checked_lengths(diffs), None
+        if not isinstance(pose, RigidPose):
+            raise ValueError("rigid geometry requires a RigidPose")
+        rot = pose.rotation
+        offsets = geom.attachments @ rot.T          # (n, 3) world frame
+        diffs = pose.position + offsets - geom.anchors
+    else:
+        if not isinstance(pose, EuclideanPose):
+            raise ValueError("point-mass geometry requires a EuclideanPose")
+        rot = offsets = None
+        diffs = pose.coords - geom.anchors
+    pose.__dict__["_cables"] = memo = [geom, rot, diffs,
+                                        _checked_lengths(diffs), offsets,
+                                        None, None]
+    return memo
+
+
+def _directions(geom: RobotGeometry, pose: Pose) -> list:
+    """The memo of `_cables` with its unit directions and read-only
+    jacobian rows filled in."""
+    memo = _cables(geom, pose)
+    if memo[6] is None:   # units from vectors and lengths, rows with offsets
+        units = memo[2] / memo[3][:, None]
+        rows = units if memo[4] is None else _rigid_rows(units, memo[4])
+        rows.setflags(write=False)
+        memo[2], memo[5:] = None, (units, rows)   # the vectors are spent
+    return memo
 
 
 def inverse_kinematics(geom: RobotGeometry, pose: Pose) -> np.ndarray:
     """Actuator values for a pose: straight-line anchor-to-attachment
     distances."""
-    _, lengths, _ = _cable_vectors(geom, pose)
-    return lengths
+    return _cables(geom, pose)[3].copy()
 
 
-# hat(e_k) for the three world axes: one einsum against it forms many cross
-# products, bit for bit as np.cross does, at a fraction of its call cost
-_AXIS_HATS = np.array([
-    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-])
+# (r x u)_i = sum_jk eps_ijk r_j u_k: the outer products r_j u_k, flattened
+# to 9 columns, times this matrix form many cross products in one matmul,
+# bit for bit as np.cross does, at a fraction of its call cost
+_CROSS = np.zeros((9, 3))
+_CROSS[[5, 6, 1], [0, 1, 2]] = 1.0     # r_y u_z, r_z u_x, r_x u_y
+_CROSS[[7, 2, 3], [0, 1, 2]] = -1.0    # r_z u_y, r_x u_z, r_y u_x
 
 
 def _rigid_rows(units: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Rigid jacobian rows [u, r x u] from unit cable directions u and
     world attachment offsets r."""
-    rows = np.empty((units.shape[0], 6))
-    rows[:, :3] = units
-    np.einsum("nk,kij,nj->ni", offsets, _AXIS_HATS, units, out=rows[:, 3:])
-    return rows
+    outer = offsets[:, :, None] * units[:, None, :]
+    return np.concatenate((units, outer.reshape(-1, 9) @ _CROSS), axis=1)
 
 
 def jacobian(geom: RobotGeometry, pose: Pose) -> np.ndarray:
@@ -337,17 +369,7 @@ def jacobian(geom: RobotGeometry, pose: Pose) -> np.ndarray:
     Rigid body: row k is [u, r x u] with u the unit cable direction and r
     the world-frame attachment offset, so rows act on [v, omega] twists.
     """
-    diffs, lengths, offsets = _cable_vectors(geom, pose)
-    units = diffs / lengths[:, None]
-    if not geom.is_rigid:
-        return units
-    return _rigid_rows(units, offsets)
-
-
-def actuator_rates(geom: RobotGeometry, pose: Pose,
-                   twist: np.ndarray) -> np.ndarray:
-    """Rate of change of the actuator values for a given twist."""
-    return jacobian(geom, pose) @ np.asarray(twist, dtype=float)
+    return _directions(geom, pose)[6].copy()
 
 
 def _curvature(units: np.ndarray, lengths: np.ndarray, offsets, twist):
@@ -383,15 +405,14 @@ def jacobian_directional_derivative(geom: RobotGeometry, pose: Pose,
     derivative, i.e. the second time derivative of the actuator values
     along the flow of a constant twist, in closed form (`_curvature`).
     It is the no-load actuator force's second piece, after J accel."""
-    diffs, lengths, offsets = _cable_vectors(geom, pose)
-    return _curvature(diffs / lengths[:, None], lengths, offsets,
-                      np.asarray(twist, dtype=float))
+    _, _, _, lengths, offsets, units, _ = _directions(geom, pose)
+    return _curvature(units, lengths, offsets, np.asarray(twist, dtype=float))
 
 
 def gram_matrix(geom: RobotGeometry, pose: Pose) -> np.ndarray:
     """Jacobian-transpose times jacobian (the actuator inertia shape)."""
-    jac = jacobian(geom, pose)
-    return jac.T @ jac
+    rows = _directions(geom, pose)[6]
+    return rows.T @ rows
 
 
 def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
@@ -409,6 +430,10 @@ def forward_kinematics(geom: RobotGeometry, lengths: np.ndarray, guess: Pose,
     square would overflow, raises ValidationError before the first step.
     The gradient tolerance, 1e-12 max(1, max|lengths|), and the damping's
     identity are fixed once per call.
+
+    Each accepted pose's cables are evaluated once: the candidate's
+    residual fills its memo, and the next step's `jacobian` reads it, as
+    the first residual reads the guess's (the previous tick's pose).
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape != (geom.actuator_count,):

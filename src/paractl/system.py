@@ -265,5 +265,5 @@ def predicted_modal_response(model: RobotModel, gains: ControllerGains,
     """
     masses = modal_masses(model, pose)
     poles = closed_loop_poles(gains, model.actuator, masses)
-    return [ModalResponse(modal_mass=float(m), poles=p)
-            for m, p in zip(masses, poles)]
+    return [ModalResponse(modal_mass=m, poles=p)
+            for m, p in zip(masses.tolist(), poles)]

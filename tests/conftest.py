@@ -89,3 +89,25 @@ def random_rigid_poses(rng, count):
                                rng.uniform(-0.25, 0.25, 3)])
         poses.append(retract(cube8_home(), step))
     return poses
+
+
+def count_cable_evaluations(monkeypatch) -> list:
+    """A list that grows by one on every cable evaluation: every call of
+    `kinematics._checked_lengths`, the check each evaluation ends in."""
+    from paractl import kinematics
+    calls = []
+    check = kinematics._checked_lengths
+    monkeypatch.setattr(kinematics, "_checked_lengths",
+                        lambda diffs: calls.append(1) or check(diffs))
+    return calls
+
+
+def record_fk_poses(monkeypatch) -> list:
+    """A list of every pose forward kinematics takes a residual or a
+    jacobian at: its calls through `kinematics`, as the tracer sees them."""
+    from paractl import kinematics
+    poses = []
+    for name in ("inverse_kinematics", "jacobian"):
+        monkeypatch.setattr(kinematics, name, lambda g, p, f=getattr(
+            kinematics, name): poses.append(p) or f(g, p))
+    return poses

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_cable_evaluations
 from paractl import (EuclideanPose, ForceConstraints, ParseError,
                      RankDeficient, RobotGeometry, ValidationError,
                      distribute, jacobian, load_config, parse_config,
                      save_config)
+from paractl import cli
 from paractl.cli import run_command
 from paractl.config import config_to_dict
 from paractl.trace_io import read_trace, trace_header, write_trace
@@ -199,6 +201,19 @@ def test_cli_analyze_prints_modal_masses(capsys):
     per_mode = [line.split("(mass ")[1].split(")")[0]
                 for line in out.splitlines() if line.startswith("mode ")]
     assert masses.split(": ")[1].split(", ") == per_mode
+
+
+def test_cli_analyze_evaluates_its_pose_once(monkeypatch, capsys):
+    # values, jacobian, mass matrix and modal split share one evaluation
+    evaluations = count_cable_evaluations(monkeypatch)
+    for path, pose in ((PLANAR3, "2,1"), (CUBE8, "0,0,1.5,1,0,0,0")):
+        cfg = load_config(path)
+        monkeypatch.setattr(cli, "load_config", lambda _, cfg=cfg: cfg)
+        evaluations.clear()
+        assert run_command(["analyze", "--config", path, "--pose", pose]) \
+            == 0
+        assert "modal masses" in capsys.readouterr().out
+        assert len(evaluations) == 1
 
 
 def test_cli_tune_check(capsys):

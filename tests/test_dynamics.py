@@ -11,10 +11,9 @@ from conftest import (cube8_geometry, cube8_home, cube8_model, planar3_pose,
 from oracles import euler_lagrange_bias
 from paractl import (DegenerateGeometry, EuclideanPose, InertialParams,
                      RigidPose, RobotGeometry, RobotModel, SingularMass,
-                     ValidationError, bias_force, cable_tensions,
-                     forward_dynamics, jacobian, load_config, mass_matrix,
-                     modal_decomposition, modal_masses, no_load_forces,
-                     total_energy)
+                     ValidationError, bias_force, forward_dynamics, jacobian,
+                     load_config, mass_matrix, modal_decomposition,
+                     modal_masses, no_load_forces, total_energy)
 from paractl.dynamics import point_mass_tables, rigid_pose_tables
 from paractl.kinematics import (_spd_solve, gram_matrix,
                                 quat_from_rotation_vector, quat_normalize)
@@ -157,14 +156,6 @@ def test_no_load_forces_match_second_difference_cube8():
         out = no_load_forces(model, pose, twist, accel)
         assert np.linalg.norm(out - expected) \
             <= 1e-6 * np.linalg.norm(expected)
-
-
-def test_cable_tensions():
-    np.testing.assert_array_equal(cable_tensions([1.0, 2.0], [1.0, 2.0]),
-                                  [0.0, 0.0])
-    assert cable_tensions([0.0], [-9.81])[0] == pytest.approx(9.81)
-    with pytest.raises(ValueError):
-        cable_tensions(np.zeros(3), np.zeros(2))
 
 
 def test_forward_dynamics_equilibrium(planar3_model):

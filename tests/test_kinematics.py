@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -5,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cube8_geometry, cube8_home, planar3_pose,
-                      random_planar_poses, random_rigid_poses)
+from conftest import (PLANAR3_ANCHORS, count_cable_evaluations,
+                      cube8_geometry, cube8_home, planar3_pose,
+                      random_planar_poses, random_rigid_poses,
+                      record_fk_poses)
 from paractl import (DegenerateGeometry, EuclideanPose, NoConvergence,
                      RankDeficient, RigidPose, RobotGeometry, ValidationError,
-                     actuator_rates, forward_kinematics, inverse_kinematics,
-                     jacobian, jacobian_directional_derivative, load_config,
+                     forward_kinematics, inverse_kinematics, jacobian,
+                     jacobian_directional_derivative, load_config,
                      manifold_dim, pose_difference, retract)
 from paractl import kinematics
-from paractl.kinematics import quat_normalize
+from paractl.kinematics import gram_matrix, quat_normalize
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SQ5 = np.sqrt(5.0)
@@ -106,13 +111,13 @@ def test_jacobian_rows_unit_norm_point_mass(x, y):
 
 
 def test_rates_zero_twist(planar3_geom):
-    rates = actuator_rates(planar3_geom, planar3_pose(), np.zeros(2))
+    rates = jacobian(planar3_geom, planar3_pose()) @ np.zeros(2)
     np.testing.assert_array_equal(rates, 0.0)
 
 
 def test_rates_planar3_axes(planar3_geom):
-    rx = actuator_rates(planar3_geom, planar3_pose(), [1.0, 0.0])
-    ry = actuator_rates(planar3_geom, planar3_pose(), [0.0, 1.0])
+    rx = jacobian(planar3_geom, planar3_pose()) @ np.array([1.0, 0.0])
+    ry = jacobian(planar3_geom, planar3_pose()) @ np.array([0.0, 1.0])
     np.testing.assert_allclose(rx, [2 / SQ5, -2 / SQ5, 0.0], atol=1e-7)
     np.testing.assert_allclose(ry, [1 / SQ5, 1 / SQ5, -1.0], atol=1e-7)
 
@@ -125,7 +130,7 @@ def test_rates_match_length_derivative(planar3_geom):
     fd = (inverse_kinematics(planar3_geom, retract(pose, h * twist))
           - inverse_kinematics(planar3_geom, retract(pose, -h * twist))) \
         / (2 * h)
-    rates = actuator_rates(planar3_geom, pose, twist)
+    rates = jacobian(planar3_geom, pose) @ twist
     assert np.max(np.abs(rates - fd)) <= 1e-6
 
 
@@ -580,3 +585,118 @@ def test_fk_failed_factorizations_match_frozen_reference(planar3_geom,
             assert outcomes[0] == outcomes[1]
             if failures is None or failures == 20:
                 assert outcomes[0][0] is RankDeficient
+
+
+def _cable_bits(geom, pose):
+    """Every public view of a pose's cables, as bytes."""
+    twist = np.linspace(-0.5, 0.7, geom.manifold_dim)
+    return (inverse_kinematics(geom, pose).tobytes(),
+            jacobian(geom, pose).tobytes(),
+            gram_matrix(geom, pose).tobytes(),
+            jacobian_directional_derivative(geom, pose, twist).tobytes())
+
+
+def _fresh(pose):
+    """An equal pose that has evaluated nothing."""
+    return dataclasses.replace(pose)
+
+
+@pytest.mark.parametrize("rigid", [False, True], ids=["planar3", "cube8"])
+def test_returned_arrays_are_the_callers_own(planar3_geom, rigid):
+    # writing into what inverse_kinematics or jacobian returned leaves the
+    # pose's memo, and every later call, as it was
+    geom, pose = (cube8_geometry(), cube8_home()) if rigid \
+        else (planar3_geom, planar3_pose(2.3, 0.8))
+    for _ in range(2):
+        inverse_kinematics(geom, pose)[:] = 1e300
+        jacobian(geom, pose)[:] = np.nan
+        gram_matrix(geom, pose)[:] = np.inf
+    assert _cable_bits(geom, pose) == _cable_bits(geom, _fresh(pose))
+    reading = inverse_kinematics(geom, pose)
+    assert forward_kinematics(geom, reading, pose) is pose
+
+
+def test_poses_are_values(planar3_geom):
+    # a pose copies what it is built from and refuses writes, so its memo
+    # cannot go stale
+    coords, position = np.array([2.3, 0.8]), np.array([0.05, -0.02, 1.5])
+    quat = quat_normalize(np.array([1.0, 0.1, -0.05, 0.2]))
+    flat, rigid = EuclideanPose(coords), RigidPose(position, quat)
+    expected = (_cable_bits(planar3_geom, _fresh(flat)),
+                _cable_bits(cube8_geometry(), _fresh(rigid)))
+    geom8 = cube8_geometry()
+    _cable_bits(planar3_geom, flat)   # the memos exist before the writes
+    _cable_bits(geom8, rigid)
+    coords[0] = position[2] = quat[1] = 0.5
+    for array in (flat.coords, rigid.position, rigid.quaternion):
+        with pytest.raises(ValueError):
+            array[0] = 3.0
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+    assert (_cable_bits(planar3_geom, flat), _cable_bits(geom8, rigid)) \
+        == expected
+
+
+def test_one_pose_under_two_geometries(planar3_geom):
+    # the memo holds the last geometry's evaluation: another geometry,
+    # even an equal one, gets its own
+    geom8 = cube8_geometry()
+    cases = [(EuclideanPose([2.3, 0.8]),
+              [planar3_geom, RobotGeometry.point_mass(PLANAR3_ANCHORS),
+               RobotGeometry.point_mass(PLANAR3_ANCHORS + [0.3, -0.2])]),
+             (RigidPose([0.05, -0.02, 1.5], quat_normalize(
+                 np.array([1.0, 0.1, -0.05, 0.2]))),
+              [geom8, RobotGeometry.rigid(geom8.anchors * 1.1,
+                                          geom8.attachments)])]
+    for pose, geometries in cases:
+        expected = [_cable_bits(g, _fresh(pose)) for g in geometries]
+        assert expected[0] != expected[-1]
+        for _ in range(2):
+            for geom, bits in zip(geometries, expected):
+                assert _cable_bits(geom, pose) == bits
+    with pytest.raises(ValueError):
+        jacobian(geom8, cases[0][0])
+    with pytest.raises(ValueError):
+        jacobian(planar3_geom, cases[1][0])
+
+
+@pytest.mark.parametrize("rigid", [False, True], ids=["planar3", "cube8"])
+def test_copies_of_an_evaluated_pose(planar3_geom, rigid):
+    # a replaced field is evaluated afresh; copies and pickles come back as
+    # read-only values that evaluate to the same bits
+    geom, pose, field, moved = (
+        (cube8_geometry(), cube8_home(), "position", [0.1, -0.05, 1.4])
+        if rigid else (planar3_geom, planar3_pose(2.3, 0.8), "coords",
+                       [2.5, 0.75]))
+    bits = _cable_bits(geom, pose)
+    other = dataclasses.replace(pose, **{field: moved})
+    built = type(pose)(**{f.name: getattr(other, f.name)
+                          for f in dataclasses.fields(pose)})
+    assert _cable_bits(geom, other) == _cable_bits(geom, built) != bits
+    copies = [copy.copy(pose), copy.deepcopy(pose),
+              pickle.loads(pickle.dumps(pose))]
+    geom_copy, pose_copy = copy.deepcopy((geom, pose))
+    for twin in copies:
+        assert _cable_bits(geom, twin) == bits
+        with pytest.raises(ValueError):
+            getattr(twin, field)[0] = 9.0
+    assert _cable_bits(geom_copy, pose_copy) == bits
+
+
+@pytest.mark.parametrize("name", ["planar3", "cube8"])
+def test_fk_evaluates_each_pose_once(name, monkeypatch):
+    # each pose FK linearizes or takes a residual at is evaluated once: the
+    # next step's jacobian reads the accepted candidate's evaluation
+    cfg = load_config(CONFIGS / f"{name}.json")
+    geom = cfg.model.geometry
+    visited = record_fk_poses(monkeypatch)
+    evaluations = count_cable_evaluations(monkeypatch)
+    linearized = 0
+    for reading, guess, max_iters in _fk_cases(
+            cfg, np.random.default_rng([9501, len(name)]), 200):
+        visited.clear()
+        evaluations.clear()
+        _fk_outcome(forward_kinematics, geom, reading, guess, max_iters)
+        assert len(evaluations) == len({id(p) for p in visited})
+        linearized += len(visited) - len({id(p) for p in visited})
+    assert linearized >= 200

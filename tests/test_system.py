@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cube8_geometry, cube8_home, cube8_model, planar3_pose
+from conftest import (count_cable_evaluations, cube8_geometry, cube8_home,
+                      cube8_model, planar3_pose, record_fk_poses)
 from paractl import (Command, ControllerGains, EuclideanPose, ParactlError,
                      RankDeficient, ReferenceSample, RobotGeometry,
                      RobotModel, InertialParams, Segment, SimConfig,
@@ -17,6 +18,7 @@ from paractl import (Command, ControllerGains, EuclideanPose, ParactlError,
                      ForceConstraints, force_distribution, kinematics,
                      retract, run_closed_loop, simulator, system)
 from paractl.actuator import ActuatorModel
+from paractl.errors import InfeasibleWrench
 from test_kinematics import _frozen_forward_kinematics
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -627,3 +629,60 @@ def test_control_step_bit_identical_to_frozen_reference(name, move, noise,
             ref = _frozen_control_step(*args, **kwargs)
         got = control_step(*args, **kwargs)
         assert _bits(got) == _bits(ref)
+
+
+@pytest.mark.parametrize("name, move, noise", [
+    ("planar3", [0.1, 0.05], 1e-4),
+    ("cube8", [0.02, -0.01, 0.015, 0.02, -0.01, 0.03], 1e-5)])
+def test_control_tick_evaluates_each_pose_once(name, move, noise,
+                                               monkeypatch):
+    # a tick evaluates the cables of each pose FK visits once, and of no
+    # other pose: its guess is the last tick's pose, already evaluated,
+    # and the twist estimate, the tables and the no-load forces read the
+    # final pose's evaluation (flat tables keep their own batched one,
+    # which is no call of the counted check)
+    cfg = load_config(CONFIGS / f"{name}.json")
+    visited, counts = record_fk_poses(monkeypatch), []
+    evaluations = count_cable_evaluations(monkeypatch)
+
+    def counting(*args, **kwargs):
+        visited.clear()
+        evaluations.clear()
+        out = control_step(*args, **kwargs)
+        fk_poses = {id(p) for p in visited} - {id(args[3].prev_pose)}
+        assert id(out[2].pose) in fk_poses | {id(args[3].prev_pose)}
+        counts.append((len(evaluations), len(fk_poses)))
+        return out
+
+    home = cfg.home_pose
+    traj = Trajectory(home, [Segment("quintic", 0.3, retract(home, move))])
+    sim = SimConfig(dt_control=cfg.sim.dt_control,
+                    dt_physics=cfg.sim.dt_physics, duration=0.3,
+                    noise_sigma=noise, seed=9601)
+    monkeypatch.setattr(simulator, "control_step", counting)
+    run_closed_loop(cfg.model, cfg.gains, cfg.constraints, traj, sim)
+    assert len(counts) >= 30 and sum(fk for _, fk in counts) >= len(counts)
+    assert all(evaluated == fk for evaluated, fk in counts[1:])
+
+
+def test_sweep_pose_evaluates_cables_once(monkeypatch):
+    # the sweep's jacobian, static bias, cold force distribution and modal
+    # poles at one cube8 pose share one cable evaluation
+    cfg = load_config(CONFIGS / "cube8.json")
+    model, zeros = cfg.model, np.zeros(8)
+    evaluations = count_cable_evaluations(monkeypatch)
+    rng = np.random.default_rng(9611)
+    for _ in range(20):
+        pose = kinematics.RigidPose(
+            rng.uniform(cfg.workspace_min, cfg.workspace_max),
+            kinematics.quat_from_rotation_vector(rng.uniform(-0.3, 0.3, 3)))
+        evaluations.clear()
+        jac = jacobian(model.geometry, pose)
+        wrench = bias_force(model, pose, np.zeros(6))
+        try:
+            force_distribution.distribute(jac, wrench, zeros, zeros,
+                                          cfg.constraints)
+        except InfeasibleWrench:
+            pass
+        predicted_modal_response(model, cfg.gains, pose)
+        assert len(evaluations) == 1
